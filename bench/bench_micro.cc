@@ -183,12 +183,10 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyState);
 
-// Whole-run engine comparison on a scheduler-light policy, where engine
-// overhead (ticking through idle spans vs. integrating across them)
-// dominates the wall clock. event: 0 = legacy ticked loop, 1 = event queue.
+// Whole-run simulator cost on a scheduler-light policy, where the event
+// loop and job advance dominate the wall clock.
 void BM_SimFifoTrace(benchmark::State& state) {
   BenchSimConfig config;
-  config.engine = state.range(0) != 0 ? SimEngine::kEvent : SimEngine::kTicked;
   config.nodes = 4;
   config.gpus_per_node = 4;
   config.jobs = 20;
@@ -197,11 +195,7 @@ void BM_SimFifoTrace(benchmark::State& state) {
     benchmark::DoNotOptimize(RunBenchPolicy("fifo", config));
   }
 }
-BENCHMARK(BM_SimFifoTrace)
-    ->ArgNames({"event"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimFifoTrace)->Unit(benchmark::kMillisecond);
 
 void BM_TraceGeneration(benchmark::State& state) {
   TraceOptions options;

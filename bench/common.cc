@@ -22,9 +22,6 @@
 namespace pollux {
 
 void AddCommonFlags(FlagParser& flags) {
-  flags.DefineString("engine", "event",
-                     "simulation engine: event (deterministic event queue) | "
-                     "ticked (legacy fixed-tick loop)");
   flags.DefineInt("nodes", 16, "number of cluster nodes");
   flags.DefineInt("gpus_per_node", 4, "GPUs per node");
   flags.DefineString("topology", "",
@@ -157,7 +154,7 @@ void AddCommonFlags(FlagParser& flags) {
                      "stop after the first snapshot at or past this sim time "
                      "(0 = run to completion; emulates a crash for resume testing)");
   flags.DefineBool("check-invariants", false,
-                   "verify simulator invariants every tick (abort on violation)");
+                   "verify simulator invariants at every event instant (abort on violation)");
   flags.DefineDouble("sched-budget", 0.0,
                      "wall-clock budget per Pollux scheduling round in seconds "
                      "(0 = unlimited; overruns fall back to the projected allocation)");
@@ -228,10 +225,6 @@ ObsSession::~ObsSession() {
 
 BenchSimConfig ConfigFromFlags(const FlagParser& flags) {
   BenchSimConfig config;
-  if (!SimEngineByName(flags.GetString("engine"), &config.engine)) {
-    std::fprintf(stderr, "unknown --engine \"%s\", using \"%s\"\n",
-                 flags.GetString("engine").c_str(), SimEngineName(config.engine));
-  }
   config.nodes = static_cast<int>(flags.GetInt("nodes"));
   config.gpus_per_node = static_cast<int>(flags.GetInt("gpus_per_node"));
   config.jobs = static_cast<int>(flags.GetInt("jobs"));
@@ -441,7 +434,6 @@ SimResult RunBenchPolicy(const std::string& policy, const BenchSimConfig& config
 
 SimOptions SimOptionsFromBenchConfig(const BenchSimConfig& config) {
   SimOptions options;
-  options.engine = config.engine;
   options.cluster = ClusterFromBenchConfig(config);
   options.gpus_per_node = config.gpus_per_node;
   options.scheduler_topology_blind = config.topology_blind;
@@ -597,7 +589,6 @@ bool ParseConfigBool(const std::string& text, bool* value) {
 
 std::string EncodeBenchSimConfig(const BenchSimConfig& config) {
   std::ostringstream out;
-  out << "engine=" << SimEngineName(config.engine) << '\n';
   out << "nodes=" << config.nodes << '\n';
   out << "gpus_per_node=" << config.gpus_per_node << '\n';
   out << "jobs=" << config.jobs << '\n';
@@ -679,9 +670,7 @@ bool DecodeBenchSimConfig(const std::string& text, BenchSimConfig* config) {
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
     bool ok = true;
-    if (key == "engine") {
-      ok = SimEngineByName(value, &parsed.engine);
-    } else if (key == "nodes") {
+    if (key == "nodes") {
       ok = ParseConfigInt(value, &parsed.nodes);
     } else if (key == "gpus_per_node") {
       ok = ParseConfigInt(value, &parsed.gpus_per_node);

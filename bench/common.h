@@ -26,9 +26,6 @@ inline constexpr int kExitUsage = 2;
 inline constexpr int kExitHalted = 3;
 
 struct BenchSimConfig {
-  // Simulation engine: the event-driven engine (default) or the legacy
-  // fixed-tick loop (--engine=ticked). Results agree to within one tick.
-  SimEngine engine = SimEngine::kEvent;
   int nodes = 16;
   int gpus_per_node = 4;
   int jobs = 160;
@@ -76,8 +73,8 @@ struct BenchSimConfig {
   // the whole block, then individual --net-* flags override. The lease knobs
   // inside also configure PolluxSched's liveness handling (DESIGN.md §12).
   NetOptions net;
-  // Cross-check simulator invariants every tick (capacity, job conservation,
-  // event-log monotonicity); aborts on violation.
+  // Cross-check simulator invariants at every event instant (capacity, job
+  // conservation, event-log monotonicity); aborts on violation.
   bool check_invariants = false;
   // Wall-clock budget per scheduling round, seconds (0 = unlimited).
   double round_time_budget = 0.0;

@@ -512,6 +512,12 @@ std::map<uint64_t, std::vector<int>> PolluxSched::FirstMatchRound(
       total += row[n];
     }
     if (total == 0) {
+      if (changed) {
+        // Earlier jobs' growth clamped this running job to nothing. Emit the
+        // zero row now: if pass 2 finds the cluster full, the job must be
+        // preempted, not left holding GPUs that are no longer its own.
+        allocations[report.agent.job_id] = std::move(row);
+      }
       queued.push_back({i, cap});
       continue;
     }

@@ -478,7 +478,7 @@ bool WriteSnapshotFile(const std::string& path,
 }
 
 bool ReadSnapshotFile(const std::string& path, std::map<uint32_t, std::string>* sections,
-                      std::string* error) {
+                      std::string* error, uint32_t min_version) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Fail(error, "cannot open snapshot " + path);
@@ -507,6 +507,11 @@ bool ReadSnapshotFile(const std::string& path, std::map<uint32_t, std::string>* 
                               " is newer than supported version " +
                               std::to_string(kSnapshotVersion));
   }
+  if (version < min_version) {
+    return Fail(error, path + ": snapshot format version " + std::to_string(version) +
+                           " predates the layout of version " + std::to_string(min_version) +
+                           " and cannot be resumed; rerun from the start");
+  }
   sections->clear();
   while (reader.ok() && !reader.AtEnd()) {
     const uint32_t tag = reader.GetU32();
@@ -524,7 +529,7 @@ bool ReadSnapshotFile(const std::string& path, std::map<uint32_t, std::string>* 
 
 bool ReadSnapshotExtra(const std::string& path, SnapshotExtra* extra, std::string* error) {
   std::map<uint32_t, std::string> sections;
-  if (!ReadSnapshotFile(path, &sections, error)) {
+  if (!ReadSnapshotFile(path, &sections, error, kMinSimSnapshotVersion)) {
     return false;
   }
   const auto it = sections.find(kTagExtra);

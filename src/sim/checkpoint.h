@@ -37,9 +37,13 @@ namespace pollux {
 // Version 2: kTagJobs rows gained per-channel delivery sequence numbers and
 // the kTagNet section (control-plane network model state) was added.
 // Version 3: the kTagTopology section (rack/GPU-type cluster annotations,
-// DESIGN.md §14) was added. Older snapshots load fine — a missing topology
-// section means the construction-time annotations stay in force.
-inline constexpr uint32_t kSnapshotVersion = 3;
+// DESIGN.md §14) was added.
+// Version 4: the simulator has one control loop. kTagSimCore lost its
+// engine echo and kTagLoop its fixed-tick thresholds, so simulator snapshots
+// older than kMinSimSnapshotVersion are rejected with a clear error. The
+// kTagService layout did not change: tenant snapshots of any version load.
+inline constexpr uint32_t kSnapshotVersion = 4;
+inline constexpr uint32_t kMinSimSnapshotVersion = 4;
 
 // Section tags. Unknown tags are preserved but ignored by readers, so later
 // versions can add sections without breaking older payload parsers.
@@ -50,7 +54,7 @@ enum SnapshotTag : uint32_t {
   kTagFaults = 4,     // FaultInjector stream cursors + armed transitions.
   kTagScheduler = 5,  // Opaque Scheduler::SaveState blob.
   kTagResult = 6,     // Event log, timeline, node-second accounting.
-  kTagLoop = 7,       // Engine loop state (tick thresholds / timer states).
+  kTagLoop = 7,       // Control-loop state (timer states, dispatch count).
   kTagNet = 8,        // NetModel streams/in-flight messages + lease liveness.
   kTagTopology = 9,   // Cluster topology annotations (racks, GPU types).
   kTagService = 10,   // pollux_schedd per-tenant domain state (service/tenant.h).
@@ -151,12 +155,13 @@ bool WriteSnapshotFile(const std::string& path,
                        const SnapshotMeta& meta, std::string* error);
 
 // Validates magic/version/CRC/section framing and fills `sections`. Returns
-// false with a clear error for torn, corrupt, or future-version files and
-// increments sim.checkpoint.corrupt.
+// false with a clear error for torn, corrupt, or future-version files
+// (incrementing sim.checkpoint.corrupt), and for files older than
+// `min_version`: simulator readers pass kMinSimSnapshotVersion.
 bool ReadSnapshotFile(const std::string& path, std::map<uint32_t, std::string>* sections,
-                      std::string* error);
+                      std::string* error, uint32_t min_version = 1);
 
-// Reads and decodes only the driver payload section.
+// Reads and decodes only the driver payload section of a simulator snapshot.
 bool ReadSnapshotExtra(const std::string& path, SnapshotExtra* extra, std::string* error);
 
 // "ckpt-<sim time in ms, zero padded>.bin": lexicographic order equals

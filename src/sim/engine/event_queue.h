@@ -2,12 +2,12 @@
 //
 // A binary min-heap ordered by the explicit key (time, priority, sequence):
 // earlier events first, then lower priority values (the simulator assigns one
-// priority per handler class so same-instant events replay the legacy tick
-// loop's intra-tick handler order), then insertion sequence. Because the full
+// priority per handler class, which fixes the handler order for same-instant
+// events), then insertion sequence. Because the full
 // key is unique — the sequence number is a monotone push counter — the pop
 // order is totally determined by the pushes and never depends on heap
 // internals, iteration order, or platform. That property is what lets the
-// event engine promise byte-identical runs per seed.
+// simulator promise byte-identical runs per seed.
 
 #ifndef POLLUX_SIM_ENGINE_EVENT_QUEUE_H_
 #define POLLUX_SIM_ENGINE_EVENT_QUEUE_H_

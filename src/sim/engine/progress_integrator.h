@@ -1,14 +1,14 @@
-// Exact completion-time solving for the event engine.
+// Exact completion-time solving for the event loop.
 //
-// The fixed-tick engine completed jobs with a single Euler step
-// (step = remaining / rate, efficiency frozen at the pre-step progress),
-// which is exact only when no GNS breakpoint lies between the current
-// progress and the finish line. SolveCompletionTime integrates the progress
-// piecewise instead: efficiency is re-evaluated at every LR-decay breakpoint
-// the job crosses (phi jumps by decay_boost there, Fig. 2a), yielding the
-// time at which progress reaches TotalExamples under the piecewise-Euler
-// rate model. When no breakpoint is crossed the result equals the Euler
-// step bit-for-bit.
+// Job progress advances in tick-sized Euler steps, and the last step
+// completes the job after remaining / rate seconds with efficiency frozen at
+// the pre-step progress. That instant is exact only when no GNS breakpoint
+// lies between the current progress and the finish line. SolveCompletionTime
+// integrates the progress piecewise instead: efficiency is re-evaluated at
+// every LR-decay breakpoint the job crosses (phi jumps by decay_boost there,
+// Fig. 2a), yielding the time at which progress reaches TotalExamples under
+// the piecewise-Euler rate model. When no breakpoint is crossed the result
+// equals the Euler step bit-for-bit.
 
 #ifndef POLLUX_SIM_ENGINE_PROGRESS_INTEGRATOR_H_
 #define POLLUX_SIM_ENGINE_PROGRESS_INTEGRATOR_H_

@@ -1,19 +1,17 @@
-// Simulation clock for the event engine.
+// Simulation clock grid for the event loop.
 //
-// The event engine is tick-free in its control flow — it jumps straight from
-// event to event — but the legacy fixed-tick loop defined the simulation's
-// observable contract in units of the tick: profiling samples are drawn once
-// per tick of running time, periodic handlers fire at the first tick boundary
-// at or after their threshold, and fault/submission effects land on the tick
-// grid. SimClock centralizes that grid arithmetic so the event engine
-// reproduces the ticked engine's timing decisions exactly (see
-// RecurringTimer in timers.h for the threshold-lag subtlety).
+// The event loop is tick-free in its control flow — it jumps straight from
+// event to event — but the simulation's observable contract is stated in
+// units of the tick: profiling samples are drawn once per tick of running
+// time, periodic handlers fire at the first tick boundary at or after their
+// threshold, and fault/submission effects land on the tick grid. SimClock
+// centralizes that grid arithmetic (see RecurringTimer in timers.h for the
+// threshold-lag rule).
 
 #ifndef POLLUX_SIM_ENGINE_SIM_CLOCK_H_
 #define POLLUX_SIM_ENGINE_SIM_CLOCK_H_
 
 #include <cmath>
-#include <cstdint>
 
 namespace pollux {
 
@@ -22,18 +20,10 @@ class SimClock {
   explicit SimClock(double tick) : tick_(tick > 0.0 ? tick : 1.0) {}
 
   double tick() const { return tick_; }
-  double now() const { return now_; }
 
-  // Moves the clock forward; time never runs backwards.
-  void AdvanceTo(double t) {
-    if (t > now_) {
-      now_ = t;
-    }
-  }
-
-  // Smallest grid point k*tick >= t. Exact comparison — used where the
-  // ticked loop compared without slack (job restart_until, submissions,
-  // fault transitions: all take effect at the next tick boundary).
+  // Smallest grid point k*tick >= t. Exact comparison, no slack: job
+  // restart_until, submissions, and fault transitions all take effect at the
+  // next tick boundary.
   double GridCeil(double t) const {
     if (t <= 0.0) {
       return 0.0;
@@ -41,23 +31,13 @@ class SimClock {
     return std::ceil(t / tick_) * tick_;
   }
 
-  // Grid ceiling with the ticked loop's 1e-9 threshold slack
-  // (`now + 1e-9 >= threshold`), for periodic-handler fire times.
+  // Grid ceiling with a 1e-9 threshold slack (a threshold counts as reached
+  // once `now + 1e-9 >= threshold`), for periodic-handler fire times and
+  // message deliveries.
   double GridCeilSlack(double t) const { return GridCeil(t - 1e-9); }
-
-  // Number of grid ticks in [from, to): the per-tick iterations the legacy
-  // loop would have executed across that span. Both endpoints are expected
-  // to be grid points.
-  int64_t TicksBetween(double from, double to) const {
-    if (to <= from) {
-      return 0;
-    }
-    return std::llround((to - from) / tick_);
-  }
 
  private:
   double tick_;
-  double now_ = 0.0;
 };
 
 }  // namespace pollux

@@ -1,16 +1,15 @@
-// Recurring-timer helper reproducing the legacy tick loop's periodic-handler
-// semantics on top of the event queue.
+// Recurring timer for the event loop's periodic handlers (reports,
+// scheduling rounds, autoscaling, checkpoints).
 //
-// The ticked loop ran, once per tick:
-//
-//   if (now + 1e-9 >= next_fire) { Handler(now); next_fire += interval; }
-//
-// which has two consequences the event engine must preserve bit-for-bit:
-//   1. Handlers fire at the first *tick boundary* at or after the threshold
-//      (with 1e-9 slack), not at the raw threshold.
-//   2. The threshold advances by `interval` per firing, not to `now`; when
+// A timer keeps a firing threshold that starts at `start` and advances by
+// `interval` per firing. Two timing rules follow, and the recorded goldens
+// depend on both:
+//   1. A handler fires at the first *tick boundary* at or after the
+//      threshold (with 1e-9 slack), not at the raw threshold.
+//   2. The threshold advances by `interval` per firing, not to the firing
+//      time, and a timer fires at most once per tick boundary. When
 //      interval < tick the threshold lags behind the clock and the handler
-//      fires at most once per tick, every tick.
+//      fires once per tick, every tick.
 // NextFireTime encodes both rules.
 
 #ifndef POLLUX_SIM_ENGINE_TIMERS_H_
@@ -29,8 +28,8 @@ class RecurringTimer {
   RecurringTimer(double start, double interval) : threshold_(start), interval_(interval) {}
 
   // The grid time of the next firing: the first tick boundary at or after
-  // the threshold, but never the boundary the timer last fired on (the
-  // ticked loop tested each threshold once per tick).
+  // the threshold, but never the boundary the timer last fired on (at most
+  // one firing per tick).
   double NextFireTime(const SimClock& clock) const {
     double at = clock.GridCeilSlack(threshold_);
     if (last_fire_ >= 0.0) {
@@ -46,7 +45,6 @@ class RecurringTimer {
   }
 
   double threshold() const { return threshold_; }
-  double interval() const { return interval_; }
   double last_fire() const { return last_fire_; }
 
   // Restores (threshold, last_fire) from a checkpoint so a resumed event loop

@@ -8,8 +8,8 @@ namespace {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 // Floor on every delivery latency: keeps deliver_at strictly after the send
-// instant so both engines deliver on the next tick grid point, never within
-// the sending handler's own dispatch.
+// instant so every message is delivered on a later tick grid point, never
+// within the sending handler's own dispatch.
 constexpr double kMinLatency = 1e-6;
 // Floor on partition dwell times so window generation always advances.
 constexpr double kMinDwell = 1e-6;

@@ -29,7 +29,6 @@ constexpr uint64_t kSchedTrack = kNodeTrackBase * 2;
 constexpr uint64_t kRackTrackBase = kNodeTrackBase * 3;
 
 struct SimMetrics {
-  obs::Counter* ticks;
   obs::Counter* engine_events;
   obs::Gauge* engine_events_per_s;
   obs::Gauge* run_wall_s;
@@ -67,7 +66,6 @@ struct SimMetrics {
  private:
   SimMetrics() {
     auto& registry = obs::MetricsRegistry::Global();
-    ticks = registry.GetCounter("sim.ticks");
     engine_events = registry.GetCounter("sim.engine.events");
     engine_events_per_s = registry.GetGauge("sim.engine.events_per_s");
     run_wall_s = registry.GetGauge("sim.run_wall_s");
@@ -102,15 +100,6 @@ struct SimMetrics {
   }
 };
 
-// Every lifecycle event flows through here so the structured log and the
-// per-kind counters can never disagree.
-void AppendEvent(SimResult& result, SimEvent event) {
-  if (obs::MetricsRegistry::Global().enabled()) {
-    SimMetrics::Get().events_by_kind[static_cast<int>(event.kind)]->Add();
-  }
-  result.events.push_back(event);
-}
-
 Placement PlacementOf(const std::vector<int>& row) {
   Placement placement;
   for (int gpus : row) {
@@ -134,22 +123,6 @@ int AgentHostNode(const std::vector<int>& alloc) {
 }
 
 }  // namespace
-
-bool SimEngineByName(const std::string& name, SimEngine* engine) {
-  if (name.empty() || name == "event") {
-    *engine = SimEngine::kEvent;
-    return true;
-  }
-  if (name == "ticked") {
-    *engine = SimEngine::kTicked;
-    return true;
-  }
-  return false;
-}
-
-const char* SimEngineName(SimEngine engine) {
-  return engine == SimEngine::kTicked ? "ticked" : "event";
-}
 
 const char* SimEventKindName(SimEventKind kind) {
   switch (kind) {
@@ -271,16 +244,12 @@ Simulator::Simulator(SimOptions options, std::vector<JobSpec> trace, Scheduler* 
 Simulator::~Simulator() = default;
 
 void Simulator::Emit(SimEvent event) {
-  if (event_mode_) {
-    // The event engine advances jobs one at a time across a span, so raw
-    // emission order interleaves jobs arbitrarily; events are buffered and
-    // flushed sorted by time once per queue dispatch, which keeps the log
-    // strictly monotone (the tightened invariant) and preserves the ticked
-    // engine's same-instant ordering (stable sort keeps insertion order).
-    pending_events_.push_back(event);
-    return;
-  }
-  AppendEvent(result_, event);
+  // Jobs advance one at a time across a span, so raw emission order
+  // interleaves jobs arbitrarily; events are buffered and flushed sorted by
+  // time once per queue dispatch, which keeps the log monotone. The stable
+  // sort keeps same-instant events in handler order. Every Emit happens
+  // inside RunEvent, which flushes before it returns or snapshots.
+  pending_events_.push_back(event);
 }
 
 void Simulator::FlushPendingEvents() {
@@ -289,8 +258,14 @@ void Simulator::FlushPendingEvents() {
   }
   std::stable_sort(pending_events_.begin(), pending_events_.end(),
                    [](const SimEvent& a, const SimEvent& b) { return a.time < b.time; });
-  for (SimEvent& event : pending_events_) {
-    AppendEvent(result_, event);
+  // Every lifecycle event reaches the log here, so the structured log and the
+  // per-kind counters can never disagree.
+  const bool metrics_on = obs::MetricsRegistry::Global().enabled();
+  for (const SimEvent& event : pending_events_) {
+    if (metrics_on) {
+      SimMetrics::Get().events_by_kind[static_cast<int>(event.kind)]->Add();
+    }
+    result_.events.push_back(event);
   }
   pending_events_.clear();
 }
@@ -341,7 +316,8 @@ void Simulator::RefreshReports(double now) {
     } else if (net_ != nullptr) {
       // The report travels as a sequence-numbered message; the agent retries
       // lost attempts with capped jittered backoff at send time. A message
-      // whose every attempt is lost counts as a drop, like the legacy path.
+      // whose every attempt is lost counts as a drop, like a fault-injected
+      // one.
       const NetModel::SendOutcome outcome =
           net_->SendReport(job->spec.job_id, AgentHostNode(job->alloc), fresh, now);
       if (metrics_on) {
@@ -644,8 +620,8 @@ void Simulator::ProcessFaults(double now) {
     return;
   }
   if (options_.faults.mtbf_sched > 0.0) {
-    // Scheduler crashes are polled before node transitions so both engines
-    // (per-tick and lazy event polls) replay the same recovery order.
+    // Scheduler crashes are polled before node transitions, so a crash and
+    // a node transition due at the same poll always recover in that order.
     const int crashes = faults_->PollSchedulerCrashes(now);
     for (int crash = 0; crash < crashes; ++crash) {
       RecoverScheduler(now);
@@ -966,79 +942,52 @@ double Simulator::TrueJobIterTime(const Job& job) const {
   return job.profile->TrueRackIterTime(placement, job.batch, cluster_.rack_link_factor, scale);
 }
 
-void Simulator::AdvanceJobs(double now, double dt) {
-  CompactActive();
-  for (size_t active_idx : active_) {
-    Job* const job = jobs_[active_idx].get();
-    if (!job->Running(now)) {
-      continue;
-    }
-    if (job->start_time < 0.0) {
-      job->start_time = now;
-      Emit(SimEvent{now, SimEventKind::kStart, job->spec.job_id,
-                                    job->placement.num_gpus, job->placement.num_nodes});
-    }
-    double slow = JobSuffersInterference(*job) ? 1.0 - options_.interference_slowdown : 1.0;
-    if (faults_ != nullptr) {
-      // A straggler node inflates the whole job's iteration time (synchronous
-      // training paces at the slowest replica).
-      slow /= faults_->JobSlowdown(job->alloc);
-    }
-    const double iter_time = TrueJobIterTime(*job);
-    if (iter_time <= 0.0) {
-      continue;
-    }
-    const double throughput = static_cast<double>(job->batch) / iter_time * slow;
-    const double efficiency =
-        job->profile->TrueEfficiency(job->batch, job->ProgressFraction());
-    const double rate = throughput * efficiency;
-    const double remaining = job->TotalExamples() - job->progress;
-    const double progress_before = job->progress;
-    double step = dt;
-    bool completes = false;
-    if (rate * dt >= remaining - kProgressEpsilon) {
-      step = remaining / rate;
-      completes = true;
-    }
-    job->progress += rate * step;
-    job->gpu_time += job->placement.num_gpus * step;
-    job->run_seconds += step;
-    job->eff_integral += efficiency * step;
-    job->tput_integral += throughput * step;
-    job->goodput_integral += rate * step;
+void Simulator::StepJob(Job& job, double now, double iter_time, double slow) {
+  const double tick = options_.tick;
+  const double throughput = static_cast<double>(job.batch) / iter_time * slow;
+  const double efficiency = job.profile->TrueEfficiency(job.batch, job.ProgressFraction());
+  const double rate = throughput * efficiency;
+  const double remaining = job.TotalExamples() - job.progress;
+  const double progress_before = job.progress;
+  double step = tick;
+  bool completes = false;
+  if (rate * tick >= remaining - kProgressEpsilon) {
+    step = remaining / rate;
+    completes = true;
+  }
+  job.progress += rate * step;
+  job.gpu_time += job.placement.num_gpus * step;
+  job.run_seconds += step;
+  job.eff_integral += efficiency * step;
+  job.tput_integral += throughput * step;
+  job.goodput_integral += rate * step;
 
-    // Profiling: the agent observes the iteration time (inflated by any
-    // interference) with multiplicative measurement noise, plus one gradient
-    // moment sample per tick.
-    const double observed_iter =
-        iter_time / slow * std::exp(job->rng.Normal(0.0, options_.observation_noise));
-    job->agent.RecordIteration(job->placement, job->batch, observed_iter);
-    const double phi = job->profile->gns.PhiAt(job->ProgressFraction());
-    GnsSample sample;
-    sample.cov_trace = phi * std::exp(job->rng.Normal(0.0, options_.gns_noise));
-    sample.grad_sqnorm = std::exp(job->rng.Normal(0.0, options_.gns_noise));
-    job->agent.RecordGradientStats(sample);
+  // Profiling: the agent observes the iteration time (inflated by any
+  // interference) with multiplicative measurement noise, plus one gradient
+  // moment sample per tick.
+  const double observed_iter =
+      iter_time / slow * std::exp(job.rng.Normal(0.0, options_.observation_noise));
+  job.agent.RecordIteration(job.placement, job.batch, observed_iter);
+  const double phi = job.profile->gns.PhiAt(job.ProgressFraction());
+  GnsSample sample;
+  sample.cov_trace = phi * std::exp(job.rng.Normal(0.0, options_.gns_noise));
+  sample.grad_sqnorm = std::exp(job.rng.Normal(0.0, options_.gns_noise));
+  job.agent.RecordGradientStats(sample);
 
-    if (completes) {
-      job->finished = true;
-      double final_step = step;
-      if (options_.engine == SimEngine::kEvent) {
-        // Exact completion time: re-solve the last step across any GNS
-        // breakpoints it crosses. Progress/integral accounting above stays
-        // on the Euler step so both engines accumulate identical state;
-        // only the recorded completion instant is refined.
-        final_step =
-            SolveCompletionTime(*job->profile, job->batch, throughput, progress_before, dt);
-      }
-      job->finish_time = now + final_step;
-      // Release the dense per-node row outright (not just zero it): at 10^5
-      // jobs x 10^4 nodes the completed rows would otherwise pin gigabytes.
-      // PlacementOf(empty) and every reader treat an empty row as "no GPUs".
-      job->alloc.clear();
-      job->alloc.shrink_to_fit();
-      job->placement = Placement{};
-      Emit(SimEvent{job->finish_time, SimEventKind::kComplete, job->spec.job_id, 0, 0});
-    }
+  if (completes) {
+    job.finished = true;
+    // Exact completion time: re-solve the last step across any GNS
+    // breakpoints it crosses. Progress and the integrals above stay on the
+    // Euler step; only the recorded completion instant is refined.
+    job.finish_time =
+        now + SolveCompletionTime(*job.profile, job.batch, throughput, progress_before, tick);
+    // Release the dense per-node row outright (not just zero it): at 10^5
+    // jobs x 10^4 nodes the completed rows would otherwise pin gigabytes.
+    // PlacementOf(empty) and every reader treat an empty row as "no GPUs".
+    job.alloc.clear();
+    job.alloc.shrink_to_fit();
+    job.placement = Placement{};
+    Emit(SimEvent{job.finish_time, SimEventKind::kComplete, job.spec.job_id, 0, 0});
   }
 }
 
@@ -1050,8 +999,8 @@ void Simulator::AdvanceJobSpan(Job& job, double from, double to) {
   double now = from;
   if (job.restart_until > now) {
     // Skip the checkpoint-restart wait entirely: the job resumes at the
-    // first tick boundary at or after restart_until (the ticked loop's
-    // exact `now >= restart_until` comparison).
+    // first tick boundary at or after restart_until (exact comparison, no
+    // slack).
     const double resume = SimClock(tick).GridCeil(job.restart_until);
     if (resume >= to) {
       return;
@@ -1069,53 +1018,16 @@ void Simulator::AdvanceJobSpan(Job& job, double from, double to) {
   // only taken when interference injection is off.
   double slow = 1.0;
   if (faults_ != nullptr) {
+    // A straggler node inflates the whole job's iteration time (synchronous
+    // training paces at the slowest replica).
     slow /= faults_->JobSlowdown(job.alloc);
   }
   const double iter_time = TrueJobIterTime(job);
   if (iter_time <= 0.0) {
     return;
   }
-  const double throughput = static_cast<double>(job.batch) / iter_time * slow;
-  const double observed_base = iter_time / slow;
-  const int num_gpus = job.placement.num_gpus;
-  for (; now < to; now += tick) {
-    const double efficiency = job.profile->TrueEfficiency(job.batch, job.ProgressFraction());
-    const double rate = throughput * efficiency;
-    const double remaining = job.TotalExamples() - job.progress;
-    const double progress_before = job.progress;
-    double step = tick;
-    bool completes = false;
-    if (rate * tick >= remaining - kProgressEpsilon) {
-      step = remaining / rate;
-      completes = true;
-    }
-    job.progress += rate * step;
-    job.gpu_time += num_gpus * step;
-    job.run_seconds += step;
-    job.eff_integral += efficiency * step;
-    job.tput_integral += throughput * step;
-    job.goodput_integral += rate * step;
-
-    const double observed_iter =
-        observed_base * std::exp(job.rng.Normal(0.0, options_.observation_noise));
-    job.agent.RecordIteration(job.placement, job.batch, observed_iter);
-    const double phi = job.profile->gns.PhiAt(job.ProgressFraction());
-    GnsSample sample;
-    sample.cov_trace = phi * std::exp(job.rng.Normal(0.0, options_.gns_noise));
-    sample.grad_sqnorm = std::exp(job.rng.Normal(0.0, options_.gns_noise));
-    job.agent.RecordGradientStats(sample);
-
-    if (completes) {
-      job.finished = true;
-      const double final_step =
-          SolveCompletionTime(*job.profile, job.batch, throughput, progress_before, tick);
-      job.finish_time = now + final_step;
-      job.alloc.clear();
-      job.alloc.shrink_to_fit();
-      job.placement = Placement{};
-      Emit(SimEvent{job.finish_time, SimEventKind::kComplete, job.spec.job_id, 0, 0});
-      return;
-    }
+  for (; now < to && !job.finished; now += tick) {
+    StepJob(job, now, iter_time, slow);
   }
 }
 
@@ -1123,18 +1035,37 @@ void Simulator::AdvanceSpan(double from, double to) {
   if (to <= from) {
     return;
   }
-  if (options_.interference_slowdown > 0.0) {
-    // Interference couples jobs within a tick (a completion mid-tick speeds
-    // up its node neighbors the same tick), so the jobs must advance
-    // interleaved, exactly like the ticked loop.
-    for (double now = from; now < to; now += options_.tick) {
-      AdvanceJobs(now, options_.tick);
+  if (options_.interference_slowdown <= 0.0) {
+    CompactActive();
+    for (size_t active_idx : active_) {
+      AdvanceJobSpan(*jobs_[active_idx], from, to);
     }
     return;
   }
-  CompactActive();
-  for (size_t active_idx : active_) {
-    AdvanceJobSpan(*jobs_[active_idx], from, to);
+  // Interference couples jobs within a tick (a completion mid-tick speeds up
+  // its node neighbors the same tick), so the jobs advance interleaved, one
+  // tick at a time, with every factor recomputed each tick.
+  for (double now = from; now < to; now += options_.tick) {
+    CompactActive();
+    for (size_t active_idx : active_) {
+      Job& job = *jobs_[active_idx];
+      if (!job.Running(now)) {
+        continue;
+      }
+      if (job.start_time < 0.0) {
+        job.start_time = now;
+        Emit(SimEvent{now, SimEventKind::kStart, job.spec.job_id, job.placement.num_gpus,
+                      job.placement.num_nodes});
+      }
+      double slow = JobSuffersInterference(job) ? 1.0 - options_.interference_slowdown : 1.0;
+      if (faults_ != nullptr) {
+        slow /= faults_->JobSlowdown(job.alloc);
+      }
+      const double iter_time = TrueJobIterTime(job);
+      if (iter_time > 0.0) {
+        StepJob(job, now, iter_time, slow);
+      }
+    }
   }
 }
 
@@ -1203,17 +1134,13 @@ void Simulator::CheckInvariants(double now) {
       fail("finished job still holds GPUs");
     }
   }
-  // 3. Event log monotonicity, and no job completes twice. The event engine
-  // flushes its log sorted by time, so it is held to strict (non-decreasing)
-  // order; the legacy ticked loop appends completions mid-tick and
-  // submissions between ticks in handler order, so it keeps its historical
-  // one-tick jitter allowance. Only events appended since the last check are
+  // 3. Event log monotonicity, and no job completes twice. The log is
+  // flushed sorted by time, so it is held to non-decreasing order (up to
+  // 1e-9 of rounding). Only events appended since the last check are
   // scanned.
-  const double monotone_slack =
-      (options_.engine == SimEngine::kTicked ? options_.tick : 0.0) + 1e-9;
   for (; checked_events_ < result_.events.size(); ++checked_events_) {
     const SimEvent& event = result_.events[checked_events_];
-    if (event.time + monotone_slack < max_event_time_) {
+    if (event.time + 1e-9 < max_event_time_) {
       fail("event log not monotone in time");
     }
     max_event_time_ = std::max(max_event_time_, event.time);
@@ -1241,83 +1168,12 @@ bool Simulator::AllJobsFinished() const {
   return active_.empty();
 }
 
-double Simulator::RunTicked() {
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  const bool checkpointing =
-      options_.checkpoint_every > 0.0 && !options_.checkpoint_dir.empty();
-  double now = 0.0;
-  double next_report = 0.0;
-  double next_sched = 0.0;
-  double next_autoscale = options_.autoscale_interval;
-  double next_checkpoint = checkpointing ? options_.checkpoint_every : kNever;
-  bool skip_handlers = false;
-  if (loop_.valid) {
-    // Resuming: the snapshot was written right after the handler block of the
-    // tick at loop_.now, so the first iteration skips straight to the
-    // completion check and job advancement.
-    now = loop_.now;
-    next_report = loop_.next_report;
-    next_sched = loop_.next_sched;
-    next_autoscale = loop_.next_autoscale;
-    next_checkpoint = checkpointing ? loop_.next_checkpoint : kNever;
-    loop_.valid = false;
-    skip_handlers = true;
-  }
-  while (now < options_.max_time) {
-    if (!skip_handlers) {
-      ActivateSubmissions(now);
-      ProcessFaults(now);
-      ProcessNet(now);
-      if (now + 1e-9 >= next_report) {
-        RefreshReports(now);
-        next_report += options_.report_interval;
-      }
-      if (now + 1e-9 >= next_sched) {
-        RunSchedulingRound(now);
-        RecordTimelineSample(now);
-        next_sched += options_.sched_interval;
-      }
-      if (autoscaler_ != nullptr && now + 1e-9 >= next_autoscale) {
-        RunAutoscaling(now);
-        next_autoscale += options_.autoscale_interval;
-      }
-      if (options_.check_invariants) {
-        CheckInvariants(now);
-      }
-      if (now + 1e-9 >= next_checkpoint) {
-        next_checkpoint += options_.checkpoint_every;
-        loop_.valid = true;
-        loop_.now = now;
-        loop_.next_report = next_report;
-        loop_.next_sched = next_sched;
-        loop_.next_autoscale = next_autoscale;
-        loop_.next_checkpoint = next_checkpoint;
-        WritePeriodicSnapshot(now);
-        loop_.valid = false;
-        if (options_.halt_after_checkpoint > 0.0 &&
-            now + 1e-9 >= options_.halt_after_checkpoint) {
-          result_.halted = true;
-          return now;
-        }
-      }
-    }
-    skip_handlers = false;
-    if (AllJobsFinished()) {
-      break;
-    }
-    AdvanceJobs(now, options_.tick);
-    result_.node_seconds += cluster_.NumNodes() * options_.tick;
-    now += options_.tick;
-    SimMetrics::Get().ticks->Add();
-  }
-  return now;
-}
-
 double Simulator::RunEvent() {
-  event_mode_ = true;
   const SimClock clock(options_.tick);
-  // Queue priorities replay the ticked loop's intra-tick handler order for
-  // same-instant events.
+  // Same-instant events dispatch in this fixed handler order: submissions
+  // arrive before faults strike, the network delivers before reports are
+  // cut, and the scheduler sees this instant's reports before autoscaling
+  // and checkpoints act on its decisions.
   enum : int {
     kSubmission = 0,
     kFaultPoll = 1,
@@ -1363,9 +1219,9 @@ double Simulator::RunEvent() {
   }
   // Fault polls are armed lazily at the grid point covering the injector's
   // earliest pending transition. Poll only draws RNG when a transition
-  // actually fires, so polling at exactly those instants replays the ticked
-  // engine's per-tick draw sequence. Stale queued polls (re-armed earlier
-  // by a resize) are harmless no-ops.
+  // actually fires, so polling at exactly those instants draws the same
+  // sequence as polling every tick would. Stale queued polls (re-armed
+  // earlier by a resize) are harmless no-ops.
   double armed_fault_poll = std::numeric_limits<double>::infinity();
   const auto arm_fault_poll = [&] {
     if (faults_ == nullptr) {
@@ -1379,9 +1235,9 @@ double Simulator::RunEvent() {
   };
   arm_fault_poll();
   // Net events (partition transitions + message deliveries) are armed the
-  // same lazy way. Transitions land on the exact grid point (the ticked loop
-  // compares them without slack via Partitioned()); deliveries use the
-  // threshold slack to match the ticked loop's PopDue(now + 1e-9) scan.
+  // same lazy way. Transitions land on the exact grid ceiling (Partitioned()
+  // compares without slack); deliveries take the 1e-9 grid slack, matching
+  // ProcessNet's PopDue(now + 1e-9) scan.
   double armed_net = std::numeric_limits<double>::infinity();
   const auto arm_net = [&] {
     if (net_ == nullptr) {
@@ -1468,15 +1324,15 @@ double Simulator::RunEvent() {
   while (!queue.empty()) {
     const double t = queue.Top().time;
     if (t >= options_.max_time) {
-      break;  // The ticked loop only runs handlers while now < max_time.
+      break;  // Handlers only run while now < max_time.
     }
     const double span_start = advanced_to;
     AdvanceSpan(span_start, t);
     advanced_to = t;
     if (AllJobsFinished()) {
-      // The ticked loop breaks at the first tick boundary after the last
+      // The run ends at the first tick boundary at or after the last
       // completion, right after running any handlers due at that instant;
-      // node_seconds only counts ticks before it.
+      // node_seconds only counts the time before it.
       double t_end = span_start;
       for (const auto& job : jobs_) {
         t_end = std::max(t_end, clock.GridCeil(job->finish_time));
@@ -1514,15 +1370,14 @@ double Simulator::RunEvent() {
           t + 1e-9 >= options_.halt_after_checkpoint) {
         engine_events_ = dispatched;
         SimMetrics::Get().engine_events->Add(dispatched);
-        event_mode_ = false;
         result_.halted = true;
         return t;
       }
     }
   }
   if (final_now < 0.0) {
-    // Horizon reached (or, defensively, an empty queue): advance the
-    // remaining span exactly as the ticked loop would before stopping.
+    // Horizon reached (or, defensively, an empty queue): advance jobs up to
+    // the first tick boundary at or after max_time before stopping.
     const double t_final = clock.GridCeil(options_.max_time);
     AdvanceSpan(advanced_to, t_final);
     result_.node_seconds += cluster_.NumNodes() * (t_final - advanced_to);
@@ -1531,7 +1386,6 @@ double Simulator::RunEvent() {
   }
   engine_events_ = dispatched;
   SimMetrics::Get().engine_events->Add(dispatched);
-  event_mode_ = false;
   return final_now;
 }
 
@@ -1620,10 +1474,9 @@ bool Simulator::SaveSnapshot(const std::string& path, std::string* error) {
   sections[kTagExtra] = EncodeSnapshotExtra(snapshot_extra_);
   {
     // Core scalars plus a config echo validated on load: a snapshot resumed
-    // under a different engine, seed, tick, or trace cannot silently produce
-    // a diverged run.
+    // under a different seed, tick, or trace cannot silently produce a
+    // diverged run.
     BinWriter out;
-    out.PutU32(options_.engine == SimEngine::kEvent ? 1 : 0);
     out.PutU64(options_.seed);
     out.PutDouble(options_.tick);
     out.PutU64(trace_.size());
@@ -1799,10 +1652,6 @@ bool Simulator::SaveSnapshot(const std::string& path, std::string* error) {
     BinWriter out;
     out.PutBool(loop_.valid);
     out.PutDouble(loop_.now);
-    out.PutDouble(loop_.next_report);
-    out.PutDouble(loop_.next_sched);
-    out.PutDouble(loop_.next_autoscale);
-    out.PutDouble(loop_.next_checkpoint);
     out.PutDouble(loop_.report_threshold);
     out.PutDouble(loop_.report_last);
     out.PutDouble(loop_.sched_threshold);
@@ -1817,7 +1666,7 @@ bool Simulator::SaveSnapshot(const std::string& path, std::string* error) {
 
   SnapshotMeta meta;
   meta.sim_time = loop_.now;
-  meta.engine = SimEngineName(options_.engine);
+  meta.engine = "sim";
   meta.policy = snapshot_extra_.policy;
   meta.seed = options_.seed;
   meta.jobs_submitted = jobs_.size();
@@ -1836,11 +1685,11 @@ bool Simulator::SaveSnapshot(const std::string& path, std::string* error) {
 
 bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
   std::map<uint32_t, std::string> sections;
-  if (!ReadSnapshotFile(path, &sections, error)) {
+  if (!ReadSnapshotFile(path, &sections, error, kMinSimSnapshotVersion)) {
     return false;
   }
-  for (const uint32_t tag :
-       {kTagSimCore, kTagJobs, kTagFaults, kTagScheduler, kTagResult, kTagLoop, kTagNet}) {
+  for (const uint32_t tag : {kTagSimCore, kTagJobs, kTagFaults, kTagScheduler, kTagResult,
+                             kTagLoop, kTagNet, kTagTopology}) {
     if (sections.find(tag) == sections.end()) {
       return LoadFail(error, path, "missing section " + std::to_string(tag));
     }
@@ -1848,15 +1697,13 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
 
   {
     BinReader in(sections[kTagSimCore]);
-    const uint32_t engine = in.GetU32();
     const uint64_t seed = in.GetU64();
     const double tick = in.GetDouble();
     const uint64_t trace_size = in.GetU64();
-    if (!in.ok() || engine != (options_.engine == SimEngine::kEvent ? 1u : 0u) ||
-        seed != options_.seed || tick != options_.tick || trace_size != trace_.size()) {
+    if (!in.ok() || seed != options_.seed || tick != options_.tick || trace_size != trace_.size()) {
       return LoadFail(error, path,
                       "snapshot was written under an incompatible run configuration "
-                      "(engine/seed/tick/trace mismatch)");
+                      "(seed/tick/trace mismatch)");
     }
     cluster_.gpus_per_node = in.GetIntVec();
     base_cluster_.gpus_per_node = in.GetIntVec();
@@ -1925,8 +1772,8 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
     }
   }
 
-  if (const auto topology_it = sections.find(kTagTopology); topology_it != sections.end()) {
-    BinReader in(topology_it->second);
+  {
+    BinReader in(sections[kTagTopology]);
     const auto get_topology = [&in](ClusterSpec* cluster) {
       if (in.GetBool()) {
         cluster->rack_link_factor = in.GetDouble();
@@ -1954,8 +1801,6 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
       return LoadFail(error, path, "malformed topology section");
     }
   }
-  // (Snapshots written before v3 have no kTagTopology section; the
-  // construction-time annotations from SimOptions::cluster stay in force.)
 
   {
     BinReader in(sections[kTagFaults]);
@@ -2133,10 +1978,6 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
     BinReader in(sections[kTagLoop]);
     loop_.valid = in.GetBool();
     loop_.now = in.GetDouble();
-    loop_.next_report = in.GetDouble();
-    loop_.next_sched = in.GetDouble();
-    loop_.next_autoscale = in.GetDouble();
-    loop_.next_checkpoint = in.GetDouble();
     loop_.report_threshold = in.GetDouble();
     loop_.report_last = in.GetDouble();
     loop_.sched_threshold = in.GetDouble();
@@ -2178,7 +2019,7 @@ void Simulator::WritePeriodicSnapshot(double now) {
 
 SimResult Simulator::Run() {
   const auto wall_start = std::chrono::steady_clock::now();
-  const double now = options_.engine == SimEngine::kEvent ? RunEvent() : RunTicked();
+  const double now = RunEvent();
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
@@ -2233,7 +2074,7 @@ SimResult Simulator::Run() {
     metrics.avg_jct_s->Set(result_.JctSummary().mean);
     metrics.makespan_s->Set(result_.makespan);
     metrics.run_wall_s->Set(wall_seconds);
-    if (options_.engine == SimEngine::kEvent && wall_seconds > 0.0) {
+    if (wall_seconds > 0.0) {
       metrics.engine_events_per_s->Set(static_cast<double>(engine_events_) / wall_seconds);
     }
   }

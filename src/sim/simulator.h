@@ -1,15 +1,13 @@
 // Discrete-event cluster simulator (Sec. 5.3).
 //
-// The simulator replays a trace of job submissions under one of two control
-// loops (SimEngine): the legacy fixed-increment tick loop, or the default
-// discrete-event engine that jumps between scheduled events (reports,
-// scheduling rounds, autoscaling, fault transitions, submissions) and
-// advances job progress across the spans in between — same trajectories,
-// without paying per-tick overhead during inactivity. Each job's actual
-// speed comes from its model profile's hidden
-// ground truth (throughput params + GNS trajectory); its PolluxAgent only
-// sees noisy observations and must model the job online, exactly as in a
-// real deployment. Reproduced system effects, matching the paper's
+// The simulator replays a trace of job submissions on a discrete-event loop
+// that jumps between scheduled events (reports, scheduling rounds,
+// autoscaling, fault transitions, submissions) and advances job progress in
+// tick-sized steps across the spans in between, without paying per-tick
+// handler overhead during inactivity. Each job's actual speed comes from its
+// model profile's hidden ground truth (throughput params + GNS trajectory);
+// its PolluxAgent only sees noisy observations and must model the job
+// online, exactly as in a real deployment. Reproduced system effects, matching the paper's
 // simulator: placement-dependent synchronization time, 30-second
 // checkpoint-restart delays on reallocation, and optional network
 // interference between distributed jobs sharing a node. Progress is
@@ -37,30 +35,8 @@
 
 namespace pollux {
 
-// Which control loop drives the simulation.
-//
-// kTicked is the legacy fixed-increment loop: one pass of every handler per
-// tick, O(max_time / tick) iterations regardless of activity. kEvent is the
-// discrete-event engine (src/sim/engine/): handlers run only at scheduled
-// event times and job progress is advanced across the idle spans in between,
-// with completion times solved from the progress integral. Both engines
-// produce the same trajectories — per-job completion times agree to within
-// one tick (exactly, absent GNS breakpoints in the final step) and event
-// kind counts match — which sim_engine_equivalence_test asserts.
-enum class SimEngine {
-  kTicked,
-  kEvent,
-};
-
-// "ticked" | "event" -> engine; returns false for anything else.
-bool SimEngineByName(const std::string& name, SimEngine* engine);
-const char* SimEngineName(SimEngine engine);
-
 struct SimOptions {
   ClusterSpec cluster;
-  // Control loop. The event engine is the default; kTicked keeps the legacy
-  // per-tick loop selectable (--engine=ticked) for equivalence testing.
-  SimEngine engine = SimEngine::kEvent;
   double tick = 1.0;                   // Simulation step, seconds.
   double sched_interval = 60.0;        // PolluxSched cadence (Sec. 5.1).
   double report_interval = 30.0;       // PolluxAgent cadence (Sec. 5.1).
@@ -100,8 +76,8 @@ struct SimOptions {
   // generations. No effect when the cluster has no topology annotations.
   bool scheduler_topology_blind = false;
   // Run the simulator's invariant checker (capacity conservation, no
-  // lost/double-completed jobs, near-monotone event log) every scheduling
-  // round; violations abort. Cheap, but off by default.
+  // lost/double-completed jobs, monotone event log) at every event instant;
+  // violations abort. Cheap, but off by default.
   bool check_invariants = false;
 
   // Crash-consistent checkpointing (DESIGN.md §11): every checkpoint_every
@@ -256,7 +232,6 @@ class Simulator {
   void RunSchedulingRound(double now);
   void RunAutoscaling(double now);
   void ProcessFaults(double now);
-  void AdvanceJobs(double now, double dt);
   // Ground-truth iteration time for the job's current placement and batch.
   // Flat clusters use the profile's 7-parameter truth unchanged (bit-for-bit
   // the pre-topology arithmetic); annotated clusters price the (K, N, R)
@@ -272,21 +247,25 @@ class Simulator {
   std::vector<JobSnapshot> BuildSnapshots(double now);
   bool JobSuffersInterference(const Job& job) const;
 
-  // Control loops. Both return the final simulation time (the clock value the
-  // shared finalization uses for unfinished jobs). RunTicked is the legacy
-  // fixed-increment loop; RunEvent drives the handlers above from the
-  // deterministic event queue in src/sim/engine/ (see DESIGN.md §10).
-  double RunTicked();
+  // The control loop: drives the handlers above from the deterministic event
+  // queue in src/sim/engine/ (see DESIGN.md §10) and returns the final
+  // simulation time (the clock value finalization uses for unfinished jobs).
   double RunEvent();
-  // Event-engine job advancement over the handler-free span [from, to):
-  // per-job with span-invariant factors hoisted, or tick-interleaved across
-  // jobs when interference couples them. Completions inside the span are
-  // discovered here and their exact times solved from the progress integral.
+  // Job advancement over the handler-free span [from, to): per job with
+  // span-invariant factors hoisted, or tick-interleaved across jobs when
+  // interference couples them. Completions inside the span are discovered
+  // here and their exact times solved from the progress integral.
   void AdvanceSpan(double from, double to);
   void AdvanceJobSpan(Job& job, double from, double to);
-  // Routes a lifecycle event to the log. The event engine buffers between
-  // queue dispatches and flushes in time order so the log stays monotone
-  // even though jobs are advanced one at a time.
+  // The one job-advance kernel: one tick of a running job at `now`, given
+  // its true iteration time and slowdown factor. Accrues progress and the
+  // time integrals, records the agent's noisy observations, and completes
+  // the job (exact finish time, resources released) when it crosses the
+  // finish line.
+  void StepJob(Job& job, double now, double iter_time, double slow);
+  // Buffers a lifecycle event. Jobs advance one at a time across a span, so
+  // the buffer is flushed sorted by time after each queue dispatch, which
+  // keeps the log monotone.
   void Emit(SimEvent event);
   void FlushPendingEvents();
 
@@ -333,26 +312,20 @@ class Simulator {
   // scanned each round) and per-job completion counts.
   size_t checked_events_ = 0;
   double max_event_time_ = 0.0;
-  // Event-engine state: buffered lifecycle events awaiting an in-time-order
-  // flush, and the count of queue entries dispatched (sim.engine.events).
-  bool event_mode_ = false;
+  // Buffered lifecycle events awaiting an in-time-order flush, and the count
+  // of queue entries dispatched (sim.engine.events).
   std::vector<SimEvent> pending_events_;
   uint64_t engine_events_ = 0;
   SimResult result_;
 
   // Control-loop cursors captured at the snapshot point so a resumed run
   // continues the exact handler schedule of the interrupted one. `valid`
-  // marks a pending resume (set by LoadSnapshot, consumed by the engines).
+  // marks a pending resume (set by LoadSnapshot, consumed by RunEvent).
   struct LoopState {
     bool valid = false;
     double now = 0.0;
-    // Ticked-loop thresholds.
-    double next_report = 0.0;
-    double next_sched = 0.0;
-    double next_autoscale = 0.0;
-    double next_checkpoint = 0.0;
-    // Event-engine RecurringTimer states (threshold, last_fire) and the
-    // dispatch count feeding sim.engine.events.
+    // RecurringTimer states (threshold, last_fire) and the dispatch count
+    // feeding sim.engine.events.
     double report_threshold = 0.0, report_last = 0.0;
     double sched_threshold = 0.0, sched_last = 0.0;
     double autoscale_threshold = 0.0, autoscale_last = 0.0;

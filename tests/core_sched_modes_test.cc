@@ -9,9 +9,11 @@
 
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/sched.h"
+#include "util/rng.h"
 
 namespace pollux {
 namespace {
@@ -141,6 +143,67 @@ TEST(SchedModeTest, FirstMatchClampsOversubscribedRows) {
   const auto decisions = sched.Schedule({a});
   ASSERT_EQ(decisions.count(1), 1u);
   AssertFeasible(decisions, 2, 2);
+}
+
+TEST(SchedModeTest, FirstMatchPreemptsAJobClampedToZeroByEarlierGrowth) {
+  // Job 1 grows in place to its cap and takes node 0's last free GPUs. Job 2
+  // (reported later) is then clamped to zero, and pass 2 finds no free node.
+  // Its zero row must be emitted: omitting it would leave job 2 on GPUs
+  // that job 1 now holds.
+  PolluxSched sched(ClusterSpec::Homogeneous(1, 4), ModeConfig(SchedMode::kFirstMatch));
+  SchedJobReport a = MakeReport(1, 1000.0, 4);
+  a.current_allocation = {2};
+  SchedJobReport b = MakeReport(2, 1000.0, 4);
+  b.current_allocation = {2};
+  const auto decisions = sched.Schedule({a, b});
+  ASSERT_EQ(decisions.count(1), 1u);
+  EXPECT_EQ(decisions.at(1), std::vector<int>({4}));
+  ASSERT_EQ(decisions.count(2), 1u);
+  EXPECT_EQ(RowTotal(decisions.at(2)), 0);
+  std::map<uint64_t, std::vector<int>> allocations = {{1, {2}}, {2, {2}}};
+  ApplyDecisions(decisions, &allocations);
+  AssertFeasible(allocations, 1, 4);
+}
+
+// Capacity property for every mode: whatever order the reports arrive in,
+// the decisions applied on top of a feasible allocation (omitted jobs keep
+// their rows) stay within every node's capacity, round after round.
+TEST(SchedModeTest, DecisionsRespectCapacityUnderShuffledReportOrders) {
+  for (SchedMode mode :
+       {SchedMode::kExact, SchedMode::kIncremental, SchedMode::kFirstMatch}) {
+    for (uint64_t trial = 1; trial <= 12; ++trial) {
+      Rng rng(trial * 7919 + static_cast<uint64_t>(mode));
+      const int nodes = static_cast<int>(rng.UniformInt(1, 4));
+      const int gpus_per_node = 4;
+      PolluxSched sched(ClusterSpec::Homogeneous(nodes, gpus_per_node), ModeConfig(mode, trial));
+      // A feasible start: each job takes a random share of what is left.
+      std::vector<int> free(static_cast<size_t>(nodes), gpus_per_node);
+      std::map<uint64_t, std::vector<int>> allocations;
+      std::vector<SchedJobReport> reports;
+      const int jobs = static_cast<int>(rng.UniformInt(2, 8));
+      for (int j = 1; j <= jobs; ++j) {
+        const uint64_t id = static_cast<uint64_t>(j);
+        std::vector<int> row(static_cast<size_t>(nodes), 0);
+        for (size_t n = 0; n < row.size(); ++n) {
+          row[n] = static_cast<int>(rng.UniformInt(0, free[n]));
+          free[n] -= row[n];
+        }
+        allocations[id] = row;
+        const int cap = static_cast<int>(rng.UniformInt(1, 8));
+        reports.push_back(MakeReport(id, 500.0 * static_cast<double>(j), cap));
+      }
+      for (int round = 0; round < 3; ++round) {
+        rng.Shuffle(reports);
+        for (SchedJobReport& report : reports) {
+          report.current_allocation = allocations[report.agent.job_id];
+        }
+        ApplyDecisions(sched.Schedule(reports), &allocations);
+        SCOPED_TRACE(std::string(SchedModeName(mode)) + " trial " + std::to_string(trial) +
+                     " round " + std::to_string(round));
+        AssertFeasible(allocations, nodes, gpus_per_node);
+      }
+    }
+  }
 }
 
 TEST(SchedModeTest, FirstMatchLeavesExcessJobsQueued) {

@@ -123,8 +123,8 @@ TEST(TraceTest, GoldenRunIsIdenticalWithObservabilityEnabled) {
   MetricsRegistry::Global().SetEnabled(false);
   TraceRecorder::Global().SetEnabled(false);
 
-  // The observed run actually recorded something... (the default event
-  // engine counts dispatched events; the legacy ticked loop counts ticks)
+  // The observed run actually recorded something (the event loop counts
+  // dispatched events)...
   EXPECT_GT(MetricsRegistry::Global().GetCounter("sim.engine.events")->value(), 0u);
   EXPECT_FALSE(TraceRecorder::Global().Snapshot().empty());
   MetricsRegistry::Global().Reset();

@@ -7,12 +7,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/goodput.h"
 #include "service/tenant.h"
 #include "service/wire.h"
+#include "sim/checkpoint.h"
 
 namespace pollux {
 namespace service {
@@ -244,6 +246,39 @@ TEST(TenantDomainTest, CheckpointRestoreNewestFallsBackPastCorruption) {
   EXPECT_EQ(restored->EncodeSnapshot(), good);  // fell back to the older file
   EXPECT_EQ(restored->next_round(), 2u);
 
+  std::filesystem::remove_all(dir);
+}
+
+// The tenant section's layout is unchanged since container version 3, so a
+// daemon restarted on a newer build must still restore a v3 file.
+TEST(TenantDomainTest, VersionThreeTenantSnapshotStillRestores) {
+  const std::string dir = TempDir("v3");
+  TenantDomain domain(MakeSetup(5));
+  Drive(domain, 2);
+  std::string error;
+  ASSERT_TRUE(domain.SaveCheckpoint(dir, /*keep=*/8, &error)) << error;
+  const auto files = ListSnapshotFiles(dir);
+  ASSERT_EQ(files.size(), 1u);
+  std::string bytes;
+  {
+    std::ifstream in(files.front(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 16u);
+  // Version word at offset 8 (little-endian); re-seal the trailing CRC.
+  bytes[8] = 3;
+  const uint32_t crc = Crc32(bytes.data() + 8, bytes.size() - 12);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + static_cast<size_t>(i)] =
+        static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  {
+    std::ofstream out(files.front(), std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  auto restored = TenantDomain::RestoreNewest(dir, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->EncodeSnapshot(), domain.EncodeSnapshot());
   std::filesystem::remove_all(dir);
 }
 

@@ -3,7 +3,7 @@
 // failures, scheduler crashes) combined with every network fault class
 // (latency/jitter, burst loss, duplication, reordering, node and rack
 // partitions) at once, with invariant checking on for every run. Asserts
-// per-seed byte-reproducibility, ticked/event engine agreement, and that
+// per-seed byte-reproducibility, recorded jobs/events CSV digests, and that
 // every job completes once the chaos heals — no job is ever lost.
 
 #include <gtest/gtest.h>
@@ -12,12 +12,14 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
 #include "sim/netmodel.h"
 #include "sim/pollux_policy.h"
 #include "sim/simulator.h"
+#include "tests/sim_result_csv.h"
 #include "workload/trace_gen.h"
 
 namespace pollux {
@@ -68,10 +70,8 @@ FaultOptions ChaosFaults() {
   return faults;
 }
 
-SimResult RunChaos(const std::string& profile, uint64_t seed, SimEngine engine,
-                   bool with_faults = true) {
+SimResult RunChaos(const std::string& profile, uint64_t seed, bool with_faults = true) {
   SimOptions options;
-  options.engine = engine;
   options.cluster = ClusterSpec::Homogeneous(2, 4);
   options.seed = seed;
   options.check_invariants = true;
@@ -121,51 +121,48 @@ std::set<uint64_t> CompletionSet(const SimResult& result) {
   return completed;
 }
 
-std::map<SimEventKind, size_t> EventKindCounts(const SimResult& result) {
-  std::map<SimEventKind, size_t> counts;
-  for (const auto& event : result.events) {
-    ++counts[event.kind];
-  }
-  return counts;
-}
-
 struct ChaosCase {
   const char* profile;
   uint64_t seed;
 };
 
-class ChaosSchedule : public ::testing::TestWithParam<ChaosCase> {};
-
-TEST_P(ChaosSchedule, ByteReproduciblePerSeedOnBothEngines) {
-  const ChaosCase c = GetParam();
-  for (const SimEngine engine : {SimEngine::kEvent, SimEngine::kTicked}) {
-    const SimResult first = RunChaos(c.profile, c.seed, engine);
-    const SimResult second = RunChaos(c.profile, c.seed, engine);
-    EXPECT_EQ(Fingerprint(first), Fingerprint(second))
-        << c.profile << " seed " << c.seed << " engine " << static_cast<int>(engine);
-  }
+// Jobs and events CSV digests per case, recorded when a second, fixed-tick
+// engine still agreed with this one. Only an intentional behavior change may
+// move them.
+const std::map<std::string, std::pair<std::string, std::string>>& ChaosDigests() {
+  static const std::map<std::string, std::pair<std::string, std::string>> digests = {
+      {"lan_seed1", {"e664f5fdb0477015", "2ab2545790920f39"}},
+      {"flaky_seed1", {"b68265de7543d378", "a7bdf2f8be4c36ac"}},
+      {"flaky_seed2", {"edd7fae9b00a4389", "7e196e58a8c45331"}},
+      {"partitioned_seed1", {"469ada18a6b98ace", "5ed615847749725f"}},
+      {"partitioned_seed3", {"aeabeb5c6c14dfb1", "d9121a10e5a278a8"}},
+  };
+  return digests;
 }
 
-TEST_P(ChaosSchedule, TickedAndEventEnginesAgree) {
+class ChaosSchedule : public ::testing::TestWithParam<ChaosCase> {};
+
+// Named when a second engine existed; it now covers the one engine.
+TEST_P(ChaosSchedule, ByteReproduciblePerSeedOnBothEngines) {
   const ChaosCase c = GetParam();
-  const SimResult ticked = RunChaos(c.profile, c.seed, SimEngine::kTicked);
-  const SimResult event = RunChaos(c.profile, c.seed, SimEngine::kEvent);
-  EXPECT_EQ(CompletionSet(ticked), CompletionSet(event));
-  EXPECT_EQ(EventKindCounts(ticked), EventKindCounts(event));
-  ASSERT_EQ(ticked.jobs.size(), event.jobs.size());
-  for (size_t i = 0; i < ticked.jobs.size(); ++i) {
-    // One tick (SimOptions default 1.0): the event engine refines completion
-    // instants inside the tick the ticked engine completed in.
-    EXPECT_NEAR(ticked.jobs[i].Jct(), event.jobs[i].Jct(), 1.0)
-        << "job " << ticked.jobs[i].job_id;
-    EXPECT_EQ(ticked.jobs[i].num_evictions, event.jobs[i].num_evictions)
-        << "job " << ticked.jobs[i].job_id;
-  }
+  const SimResult first = RunChaos(c.profile, c.seed);
+  const SimResult second = RunChaos(c.profile, c.seed);
+  EXPECT_EQ(Fingerprint(first), Fingerprint(second)) << c.profile << " seed " << c.seed;
+}
+
+TEST_P(ChaosSchedule, MatchesGoldenDigest) {
+  const ChaosCase c = GetParam();
+  const std::string name = std::string(c.profile) + "_seed" + std::to_string(c.seed);
+  const auto it = ChaosDigests().find(name);
+  ASSERT_NE(it, ChaosDigests().end()) << "no recorded digest for " << name;
+  const SimResult result = RunChaos(c.profile, c.seed);
+  EXPECT_EQ(DigestHex(RenderJobsCsv(result)), it->second.first) << name << " jobs CSV";
+  EXPECT_EQ(DigestHex(RenderEventsCsv(result)), it->second.second) << name << " events CSV";
 }
 
 TEST_P(ChaosSchedule, EveryJobCompletesAfterTheChaosHeals) {
   const ChaosCase c = GetParam();
-  const SimResult result = RunChaos(c.profile, c.seed, SimEngine::kEvent);
+  const SimResult result = RunChaos(c.profile, c.seed);
   EXPECT_FALSE(result.timed_out);
   EXPECT_EQ(CompletionSet(result).size(), result.jobs.size());
   for (const auto& job : result.jobs) {

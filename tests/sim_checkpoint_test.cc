@@ -1,10 +1,11 @@
 // Crash-consistent checkpoint/restore and scheduler-failover recovery:
 // warm resumes are byte-identical to uninterrupted runs across every
-// (policy x engine x fault-profile x seed) combination, snapshots round-trip
-// through save -> load -> save bit-exactly, torn/corrupt/future-version
-// snapshots are detected with clear errors and fall back to the previous
-// snapshot, cold scheduler recovery completes every job, and the bench-config
-// codec embedded in each snapshot round-trips every run-defining knob.
+// (policy x fault-profile x seed) combination, snapshots round-trip through
+// save -> load -> save bit-exactly, torn/corrupt/future-version snapshots
+// are detected with clear errors and fall back to the previous snapshot,
+// snapshots in a pre-v4 loop layout are refused, cold scheduler recovery
+// completes every job, and the bench-config codec embedded in each snapshot
+// round-trips every run-defining knob.
 
 #include <gtest/gtest.h>
 
@@ -45,9 +46,8 @@ std::vector<JobSpec> SmallTrace(uint64_t seed) {
   return jobs;
 }
 
-BenchSimConfig SmallConfig(SimEngine engine, const char* fault_profile, uint64_t seed) {
+BenchSimConfig SmallConfig(const char* fault_profile, uint64_t seed) {
   BenchSimConfig config;
-  config.engine = engine;
   config.nodes = 2;
   config.gpus_per_node = 4;
   config.ga_population = 12;
@@ -118,7 +118,6 @@ std::string FreshDir(const std::string& name) {
 
 struct CheckpointCase {
   const char* policy;
-  const char* engine;  // "event" | "ticked"
   const char* faults;  // "none" | "light"
   uint64_t seed;
 };
@@ -127,17 +126,15 @@ class CheckpointResumeSweep : public ::testing::TestWithParam<CheckpointCase> {}
 
 TEST_P(CheckpointResumeSweep, ResumeIsByteIdenticalToUninterruptedRun) {
   const CheckpointCase c = GetParam();
-  SimEngine engine = SimEngine::kEvent;
-  ASSERT_TRUE(SimEngineByName(c.engine, &engine));
-  const BenchSimConfig config = SmallConfig(engine, c.faults, c.seed);
+  const BenchSimConfig config = SmallConfig(c.faults, c.seed);
   const std::vector<JobSpec> trace = SmallTrace(c.seed);
 
   const SimResult full = RunImportedTrace(c.policy, config, trace);
   ASSERT_FALSE(full.timed_out);
   ASSERT_FALSE(full.halted);
 
-  const std::string dir = FreshDir(std::string("ckpt_") + c.policy + "_" + c.engine + "_" +
-                                   c.faults + "_" + std::to_string(c.seed));
+  const std::string dir = FreshDir(std::string("ckpt_") + c.policy + "_" + c.faults + "_" +
+                                   std::to_string(c.seed));
   BenchSimConfig halted_config = config;
   halted_config.checkpoint_every = 300.0;
   halted_config.checkpoint_dir = dir;
@@ -157,24 +154,24 @@ TEST_P(CheckpointResumeSweep, ResumeIsByteIdenticalToUninterruptedRun) {
   std::filesystem::remove_all(dir);
 }
 
+// Names keep an "_event_" infix from when cases also varied the control
+// loop, so each case's history stays comparable.
 std::string CaseName(const ::testing::TestParamInfo<CheckpointCase>& info) {
-  std::string name = std::string(info.param.policy) + "_" + info.param.engine + "_" +
-                     info.param.faults + "_seed" + std::to_string(info.param.seed);
+  std::string name = std::string(info.param.policy) + "_event_" + info.param.faults +
+                     "_seed" + std::to_string(info.param.seed);
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(PolicyEngineFaultSeed, CheckpointResumeSweep,
-                         ::testing::Values(CheckpointCase{"pollux", "event", "none", 1},
-                                           CheckpointCase{"pollux", "ticked", "none", 1},
-                                           CheckpointCase{"pollux", "event", "light", 2},
-                                           CheckpointCase{"pollux", "ticked", "light", 2},
-                                           CheckpointCase{"pollux-fixed-batch", "event", "none", 3},
-                                           CheckpointCase{"tiresias", "event", "light", 1},
-                                           CheckpointCase{"tiresias", "ticked", "none", 2},
-                                           CheckpointCase{"fifo", "event", "none", 2},
-                                           CheckpointCase{"optimus", "event", "light", 3},
-                                           CheckpointCase{"optimus", "ticked", "none", 1}),
+                         ::testing::Values(CheckpointCase{"pollux", "none", 1},
+                                           CheckpointCase{"pollux", "light", 2},
+                                           CheckpointCase{"pollux-fixed-batch", "none", 3},
+                                           CheckpointCase{"tiresias", "light", 1},
+                                           CheckpointCase{"tiresias", "none", 2},
+                                           CheckpointCase{"fifo", "none", 2},
+                                           CheckpointCase{"optimus", "light", 3},
+                                           CheckpointCase{"optimus", "none", 1}),
                          CaseName);
 
 // ---------------------------------------------------------------------------
@@ -195,7 +192,6 @@ TEST(SnapshotRoundTripTest, SaveLoadSaveIsByteIdentical) {
   const std::string dir = FreshDir("ckpt_roundtrip");
   std::filesystem::create_directories(dir);
   SimOptions options;
-  options.engine = SimEngine::kEvent;
   options.cluster = ClusterSpec::Homogeneous(2, 4);
   options.seed = seed;
   ASSERT_TRUE(FaultProfileByName("light", &options.faults));
@@ -232,7 +228,6 @@ TEST(SnapshotRoundTripTest, LoadRejectsMismatchedRunConfiguration) {
   const std::string dir = FreshDir("ckpt_mismatch");
   std::filesystem::create_directories(dir);
   SimOptions options;
-  options.engine = SimEngine::kEvent;
   options.cluster = ClusterSpec::Homogeneous(2, 4);
   options.seed = seed;
   options.checkpoint_every = 600.0;
@@ -271,7 +266,7 @@ struct CorruptFixture {
 CorruptFixture MakeCorruptFixture(const std::string& name) {
   CorruptFixture fixture;
   const uint64_t seed = 7;
-  const BenchSimConfig config = SmallConfig(SimEngine::kEvent, "none", seed);
+  const BenchSimConfig config = SmallConfig("none", seed);
   const std::vector<JobSpec> trace = SmallTrace(seed);
   fixture.full = RunImportedTrace("pollux", config, trace);
   fixture.dir = FreshDir(name);
@@ -354,26 +349,58 @@ TEST(CorruptSnapshotTest, AllSnapshotsCorruptIsAClearError) {
   std::filesystem::remove_all(fixture.dir);
 }
 
-TEST(CorruptSnapshotTest, FutureFormatVersionIsRejectedWithClearError) {
-  const CorruptFixture fixture = MakeCorruptFixture("ckpt_future");
-  const std::string& newest = fixture.snapshots.back();
-  std::string bytes = ReadFileBytes(newest);
+// Rewrites a snapshot's version word (offset 8, little-endian) and re-seals
+// the CRC, so the version check itself is what fires on load.
+void RewriteSnapshotVersion(const std::string& path, uint8_t version) {
+  std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 16u);
-  // Bump the version word (offset 8, little-endian) and re-seal the CRC so
-  // the version check itself is what fires.
-  bytes[8] = 99;
+  bytes[8] = static_cast<char>(version);
   const uint32_t crc = Crc32(bytes.data() + 8, bytes.size() - 12);
   for (int i = 0; i < 4; ++i) {
     bytes[bytes.size() - 4 + static_cast<size_t>(i)] =
         static_cast<char>((crc >> (8 * i)) & 0xFF);
   }
-  WriteFileBytes(newest, bytes);
+  WriteFileBytes(path, bytes);
+}
+
+TEST(CorruptSnapshotTest, FutureFormatVersionIsRejectedWithClearError) {
+  const CorruptFixture fixture = MakeCorruptFixture("ckpt_future");
+  const std::string& newest = fixture.snapshots.back();
+  RewriteSnapshotVersion(newest, 99);
   SimResult resumed;
   std::string policy;
   std::string error;
   EXPECT_FALSE(
       ResumeBenchFromSnapshot(newest, BenchResumeOptions{}, &resumed, &policy, &error));
   EXPECT_NE(error.find("newer than supported"), std::string::npos) << error;
+  std::filesystem::remove_all(fixture.dir);
+}
+
+// Version 3 snapshots carry the two-loop layout (engine echo, fixed-tick
+// thresholds). Resuming one must fail cleanly, never crash or diverge.
+TEST(CorruptSnapshotTest, PreV4SimulatorSnapshotIsRejectedWithClearError) {
+  const CorruptFixture fixture = MakeCorruptFixture("ckpt_v3");
+  for (const std::string& path : fixture.snapshots) {
+    RewriteSnapshotVersion(path, 3);
+  }
+  SimResult resumed;
+  std::string policy;
+  std::string error;
+  EXPECT_FALSE(ResumeBenchFromSnapshot(fixture.snapshots.back(), BenchResumeOptions{}, &resumed,
+                                       &policy, &error));
+  EXPECT_NE(error.find("version 3 predates"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(
+      ResumeBenchFromSnapshot(fixture.dir, BenchResumeOptions{}, &resumed, &policy, &error));
+  EXPECT_NE(error.find("cannot be resumed"), std::string::npos) << error;
+
+  // Direct simulator loads refuse it too.
+  const BenchSimConfig config = SmallConfig("none", 7);
+  PolluxPolicy scheduler(ClusterFromBenchConfig(config), SchedConfigFromBenchConfig(config));
+  Simulator sim(SimOptionsFromBenchConfig(config), SmallTrace(7), &scheduler);
+  error.clear();
+  EXPECT_FALSE(sim.LoadSnapshot(fixture.snapshots.front(), &error));
+  EXPECT_NE(error.find("version 3 predates"), std::string::npos) << error;
   std::filesystem::remove_all(fixture.dir);
 }
 
@@ -384,7 +411,7 @@ TEST(CorruptSnapshotTest, FutureFormatVersionIsRejectedWithClearError) {
 TEST(SchedulerCrashRecoveryTest, WarmRecoveryIsByteInvisible) {
   const uint64_t seed = 4;
   const std::vector<JobSpec> trace = SmallTrace(seed);
-  const BenchSimConfig base = SmallConfig(SimEngine::kEvent, "light", seed);
+  const BenchSimConfig base = SmallConfig("light", seed);
   BenchSimConfig crashing = base;
   crashing.faults.mtbf_sched = 600.0;
   crashing.faults.sched_recovery = SchedRecovery::kWarm;
@@ -437,7 +464,7 @@ TEST(SchedulerCrashRecoveryTest, ColdRecoveryCompletesAllJobsAndExportsMetrics) 
 TEST(SchedulerCrashRecoveryTest, ColdRecoveryIsDeterministicPerSeed) {
   const uint64_t seed = 9;
   const std::vector<JobSpec> trace = SmallTrace(seed);
-  BenchSimConfig config = SmallConfig(SimEngine::kEvent, "none", seed);
+  BenchSimConfig config = SmallConfig("none", seed);
   config.faults.mtbf_sched = 700.0;
   config.faults.sched_recovery = SchedRecovery::kCold;
   const SimResult a = RunImportedTrace("pollux", config, trace);
@@ -451,7 +478,6 @@ TEST(SchedulerCrashRecoveryTest, ColdRecoveryIsDeterministicPerSeed) {
 
 TEST(BenchConfigCodecTest, RoundTripsEveryRunDefiningField) {
   BenchSimConfig config;
-  config.engine = SimEngine::kTicked;
   config.nodes = 3;
   config.gpus_per_node = 2;
   config.jobs = 17;
@@ -485,7 +511,6 @@ TEST(BenchConfigCodecTest, RoundTripsEveryRunDefiningField) {
 
   BenchSimConfig decoded;
   ASSERT_TRUE(DecodeBenchSimConfig(EncodeBenchSimConfig(config), &decoded));
-  EXPECT_EQ(decoded.engine, config.engine);
   EXPECT_EQ(decoded.nodes, config.nodes);
   EXPECT_EQ(decoded.gpus_per_node, config.gpus_per_node);
   EXPECT_EQ(decoded.jobs, config.jobs);
@@ -538,7 +563,6 @@ TEST(BenchConfigCodecTest, RejectsGarbageAndUnknownKeys) {
   EXPECT_FALSE(DecodeBenchSimConfig("nodes=abc\n", &decoded));
   EXPECT_FALSE(DecodeBenchSimConfig("future_knob=1\n", &decoded));
   EXPECT_FALSE(DecodeBenchSimConfig("no_equals_sign\n", &decoded));
-  EXPECT_FALSE(DecodeBenchSimConfig("engine=quantum\n", &decoded));
   EXPECT_TRUE(DecodeBenchSimConfig("", &decoded));  // Empty config = defaults.
 }
 

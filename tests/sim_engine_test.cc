@@ -1,7 +1,7 @@
 // Unit tests for the discrete-event engine primitives: deterministic queue
 // ordering and tie-breaking, grid-clock arithmetic, recurring-timer
-// semantics (including the interval-shorter-than-tick lag the legacy loop
-// exhibits), and progress-integral completion solving.
+// semantics (including the interval-shorter-than-tick lag), and
+// progress-integral completion solving.
 
 #include <gtest/gtest.h>
 
@@ -74,25 +74,17 @@ TEST(SimClockTest, GridCeilLandsOnTickBoundaries) {
 }
 
 TEST(SimClockTest, GridCeilSlackReplicatesTickedThresholdTest) {
-  // The ticked loop fires a handler at the first tick where
-  // now + 1e-9 >= threshold; a threshold epsilon-above a boundary still
-  // fires on that boundary.
+  // A handler fires at the first tick where now + 1e-9 >= threshold; a
+  // threshold epsilon-above a boundary still fires on that boundary.
   const SimClock clock(1.0);
   EXPECT_EQ(clock.GridCeilSlack(13.0), 13.0);
   EXPECT_EQ(clock.GridCeilSlack(13.0 + 5e-10), 13.0);
   EXPECT_EQ(clock.GridCeilSlack(13.0 + 1e-8), 14.0);
 }
 
-TEST(SimClockTest, TicksBetweenCountsGridSteps) {
-  const SimClock clock(2.0);
-  EXPECT_EQ(clock.TicksBetween(0.0, 10.0), 5);
-  EXPECT_EQ(clock.TicksBetween(4.0, 4.0), 0);
-  EXPECT_EQ(clock.TicksBetween(10.0, 4.0), 0);
-}
-
 TEST(RecurringTimerTest, FiresOnGridAtOrAfterThreshold) {
   // interval=30, tick=7: thresholds 30, 60, 90 fire at grid points 35, 63,
-  // 91 — exactly where the ticked loop's `now + 1e-9 >= next` lands.
+  // 91 — the first boundaries where `now + 1e-9 >= threshold`.
   const SimClock clock(7.0);
   RecurringTimer timer(30.0, 30.0);
   EXPECT_EQ(timer.NextFireTime(clock), 35.0);
@@ -103,8 +95,8 @@ TEST(RecurringTimerTest, FiresOnGridAtOrAfterThreshold) {
 }
 
 TEST(RecurringTimerTest, IntervalShorterThanTickFiresOncePerTick) {
-  // The ticked loop tests each threshold once per tick, so a 10 s interval
-  // under a 30 s tick fires every tick while the threshold lags behind.
+  // A timer fires at most once per tick boundary, so a 10 s interval under
+  // a 30 s tick fires every tick while the threshold lags behind.
   const SimClock clock(30.0);
   RecurringTimer timer(0.0, 10.0);
   EXPECT_EQ(timer.NextFireTime(clock), 0.0);

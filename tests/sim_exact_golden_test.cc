@@ -19,8 +19,7 @@
 
 #include "bench/common.h"
 #include "sim/simulator.h"
-#include "util/csv.h"
-#include "workload/model_profile.h"
+#include "tests/sim_result_csv.h"
 
 #ifndef POLLUX_TEST_DATA_DIR
 #error "POLLUX_TEST_DATA_DIR must point at tests/golden (set in tests/CMakeLists.txt)"
@@ -35,40 +34,6 @@ std::string ReadFileOrDie(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-// Renders result.jobs exactly as pollux_simulate's --jobs_csv writer does.
-std::string RenderJobsCsv(const SimResult& result) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.WriteRow({"job_id", "model", "category", "submit_s", "start_s", "finish_s", "jct_s",
-                "gpu_seconds", "restarts", "evictions", "restart_failures", "backoff_s",
-                "avg_efficiency", "avg_throughput", "avg_goodput", "completed"});
-  for (const auto& job : result.jobs) {
-    csv.WriteRow({std::to_string(job.job_id), ModelKindName(job.model),
-                  JobCategoryName(job.category), FormatDouble(job.submit_time, 1),
-                  FormatDouble(job.start_time, 1), FormatDouble(job.finish_time, 1),
-                  FormatDouble(job.Jct(), 1), FormatDouble(job.gpu_time, 1),
-                  std::to_string(job.num_restarts), std::to_string(job.num_evictions),
-                  std::to_string(job.num_restart_failures),
-                  FormatDouble(job.backoff_seconds, 1), FormatDouble(job.avg_efficiency, 4),
-                  FormatDouble(job.avg_throughput, 2), FormatDouble(job.avg_goodput, 2),
-                  job.completed ? "1" : "0"});
-  }
-  return out.str();
-}
-
-// Renders result.events exactly as pollux_simulate's --events_csv writer does.
-std::string RenderEventsCsv(const SimResult& result) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.WriteRow({"time_s", "event", "job_id", "gpus", "nodes"});
-  for (const auto& event : result.events) {
-    csv.WriteRow({FormatDouble(event.time, 1), SimEventKindName(event.kind),
-                  std::to_string(event.job_id), std::to_string(event.gpus),
-                  std::to_string(event.nodes)});
-  }
-  return out.str();
 }
 
 BenchSimConfig GoldenConfig() {

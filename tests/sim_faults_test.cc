@@ -102,7 +102,7 @@ TEST(FaultInjectorTest, TransitionExactlyOnTickBoundaryFiresOnceInclusively) {
   state.nodes[0].next_transition = 10.0;  // Exactly on the 1 s tick grid.
   injector.SetState(state);
   // The tick *before* the boundary sees nothing; the boundary tick fires it
-  // (Poll is inclusive, matching the engines' "due at exactly t" handling).
+  // (Poll is inclusive, matching the simulator's "due at exactly t" handling).
   EXPECT_TRUE(injector.Poll(9.0).empty());
   const auto fired = injector.Poll(10.0);
   ASSERT_FALSE(fired.empty());
@@ -146,9 +146,9 @@ TEST(FaultInjectorTest, SchedulerCrashStreamDoesNotPerturbNodeStreams) {
 }
 
 TEST(FaultInjectorTest, LazyGridPollingMatchesPerTickPolling) {
-  // The event engine polls faults only at the tick-grid point covering
-  // NextTransitionTime; the ticked engine polls every tick. Both must see
-  // the same transitions in the same order with the same RNG draws.
+  // The simulator polls faults only at the tick-grid point covering
+  // NextTransitionTime. That must see the same transitions in the same order
+  // with the same RNG draws as polling every tick.
   FaultOptions options;
   options.mtbf_node = 150.0;
   options.repair_time = 40.0;

@@ -186,8 +186,8 @@ TEST_F(GoldenTraceTest, SummaryMetricsByteStableWithoutMemoization) {
   ExpectIdentical(RunGolden(4, /*memoize=*/true), RunGolden(4, /*memoize=*/false), "memo");
 }
 
-// The event engine (the default) is byte-deterministic per seed down to the
-// full event log: times, kinds, and payloads — not just summary metrics.
+// The simulator is byte-deterministic per seed down to the full event log:
+// times, kinds, and payloads — not just summary metrics.
 TEST_F(GoldenTraceTest, EventEngineEventLogByteStableAcrossRuns) {
   const SimResult a = RunGolden(1);
   const SimResult b = RunGolden(1);

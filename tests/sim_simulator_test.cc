@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/tiresias.h"
+#include "bench/common.h"
 #include "sim/pollux_policy.h"
+#include "workload/trace_gen.h"
 
 namespace pollux {
 namespace {
@@ -153,6 +155,36 @@ TEST(SimulatorTest, JobsSubmittedLaterStartLater) {
   const SimResult result = sim.Run();
   EXPECT_GE(result.jobs[1].start_time, 1800.0);
   EXPECT_TRUE(result.jobs[1].completed);
+}
+
+// Regression: first-match once left a running job on GPUs that an earlier
+// job's in-place growth had taken, when no node had room to re-place it. On
+// this run the invariant checker aborted at t=15000 with 33 of 32 GPUs in
+// use. Equivalent to
+//   bench_hyperscale --nodes=8 --jobs=60 --duration_hours=6 --seed=1 --gen-trace=t.csv
+//   pollux_simulate --trace=t.csv --nodes=8 --sched-mode=first-match --tick=60
+//       --sched_interval=300 --report_interval=120 --seed=2 --check-invariants
+TEST(FirstMatchRegressionTest, EightNodeHyperscaleTraceNeverOvercommits) {
+  HyperTraceOptions trace_options;
+  trace_options.num_nodes = 8;
+  trace_options.num_jobs = 60;
+  trace_options.duration = 6.0 * 3600.0;
+  trace_options.seed = 1;
+  const std::vector<JobSpec> trace = GenerateHyperscaleTrace(trace_options);
+  BenchSimConfig config;
+  config.nodes = 8;
+  config.sched_mode = SchedMode::kFirstMatch;
+  config.tick = 60.0;
+  config.sched_interval = 300.0;
+  config.report_interval = 120.0;
+  config.seed = 2;
+  config.check_invariants = true;  // Aborts on any capacity violation.
+  const SimResult result = RunImportedTrace("pollux", config, trace);
+  EXPECT_FALSE(result.timed_out);
+  ASSERT_EQ(result.jobs.size(), trace.size());
+  for (const auto& sample : result.timeline) {
+    EXPECT_LE(sample.gpus_in_use, sample.total_gpus) << "t=" << sample.time;
+  }
 }
 
 }  // namespace

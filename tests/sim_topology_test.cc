@@ -72,14 +72,11 @@ std::string FreshDir(const std::string& name) {
 }
 
 TEST(SimTopologyTest, HeterogeneousRunIsDeterministic) {
-  for (SimEngine engine : {SimEngine::kEvent, SimEngine::kTicked}) {
-    BenchSimConfig config = TopologyConfig(11);
-    config.engine = engine;
-    const SimResult first = RunBenchPolicy("pollux", config);
-    const SimResult second = RunBenchPolicy("pollux", config);
-    EXPECT_EQ(FormatResult(first), FormatResult(second));
-    EXPECT_FALSE(first.jobs.empty());
-  }
+  const BenchSimConfig config = TopologyConfig(11);
+  const SimResult first = RunBenchPolicy("pollux", config);
+  const SimResult second = RunBenchPolicy("pollux", config);
+  EXPECT_EQ(FormatResult(first), FormatResult(second));
+  EXPECT_FALSE(first.jobs.empty());
 }
 
 TEST(SimTopologyTest, BlindArmCompletesEveryJob) {
