@@ -1,13 +1,18 @@
 #include "bench/common.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "baselines/fifo.h"
 #include "baselines/fixed_batch_policy.h"
@@ -21,143 +26,411 @@
 
 namespace pollux {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr KnobRange kAny{-kInf, kInf};
+constexpr KnobRange kNonNegative{0.0, kInf};
+constexpr KnobRange kPositive{0.0, kInf, /*lo_open=*/true};
+constexpr KnobRange kUnit{0.0, 1.0};  // Probabilities and bools.
+
+// Row accessor: returns the config member a row reads and writes.
+template <typename T>
+using Member = T& (*)(BenchSimConfig&);
+
+// std::monostate marks a flag consumed only by the cross-field code in
+// ConfigFromFlags (--topology); the FaultOptions/NetOptions rows are presets
+// that reset a whole block before its per-knob rows override it.
+using Field = std::variant<std::monostate, Member<int>, Member<uint64_t>, Member<double>,
+                           Member<bool>, Member<SchedMode>, Member<SchedRecovery>,
+                           Member<std::string>, Member<FaultOptions>, Member<NetOptions>>;
+
+#define POLLUX_KNOB(path) +[](BenchSimConfig& c) -> decltype((c.path)) { return c.path; }
+
+enum class KnobRole {
+  kPlain,
+  // The flag defaults to -1 and a negative value keeps the preset's value.
+  kOverride,
+  // Encoded only when a topology knob is engaged, so flat configs encode
+  // byte-identically to pre-topology drivers (whose decoder rejects unknown
+  // keys) and their snapshots stay mutually resumable.
+  kTopology,
+};
+
+// One row per BenchSimConfig knob. An empty flag is a codec-only knob; an
+// empty key is a flag the resume codec does not carry (presets, --topology,
+// and the run-local checkpoint knobs, so a resumed run does not inherit the
+// original's halt point). The flag default is the member's value in a
+// default-constructed BenchSimConfig; flag_default serves only the rows
+// without a member value (presets and --topology).
+struct Knob {
+  const char* flag;
+  const char* key;
+  Field field;
+  KnobRange range;
+  const char* help;
+  KnobRole role = KnobRole::kPlain;
+  const char* flag_default = "";
+};
+
+// Row order is the encoding order (golden snapshots depend on it) and the
+// flag application order (each preset row precedes the rows it resets).
+const Knob kKnobs[] = {
+    {"nodes", "nodes", POLLUX_KNOB(nodes), {1, 1e6}, "number of cluster nodes"},
+    {"gpus_per_node", "gpus_per_node", POLLUX_KNOB(gpus_per_node), {1, 1024}, "GPUs per node"},
+    {"jobs", "jobs", POLLUX_KNOB(jobs), {0, 1e7}, "job submissions in the trace window"},
+    {"duration_hours", "duration_hours", POLLUX_KNOB(duration_hours), kPositive,
+     "trace window length in hours"},
+    {"load", "load", POLLUX_KNOB(load), kNonNegative, "relative load factor (scales job count)"},
+    {"user_frac", "user_frac", POLLUX_KNOB(user_configured_fraction), kUnit,
+     "fraction of user-configured (non-tuned) jobs"},
+    {"interference", "interference", POLLUX_KNOB(interference_slowdown), {0, 1, false, true},
+     "network interference slowdown in [0,1)"},
+    {"avoidance", "avoidance", POLLUX_KNOB(interference_avoidance), kUnit,
+     "PolluxSched interference avoidance constraint"},
+    {"weight_lambda", "weight_lambda", POLLUX_KNOB(weight_lambda), kNonNegative,
+     "job weight decay lambda (Eqn. 16)"},
+    {"ga_pop", "ga_pop", POLLUX_KNOB(ga_population), {1, 100000},
+     "genetic algorithm population size"},
+    {"ga_gens", "ga_gens", POLLUX_KNOB(ga_generations), {0, 100000},
+     "genetic algorithm generations per round"},
+    {"threads", "threads", POLLUX_KNOB(threads), {0, 1024},
+     "scheduler worker threads (0 = all hardware threads)"},
+    {"sched_interval", "sched_interval", POLLUX_KNOB(sched_interval), kPositive,
+     "scheduling interval in seconds"},
+    {"report_interval", "report_interval", POLLUX_KNOB(report_interval), kPositive,
+     "agent report interval in seconds"},
+    {"sched-mode", "sched_mode", POLLUX_KNOB(sched_mode), kAny,
+     "scheduler quality/speed ladder: exact (paper behavior) | incremental "
+     "(re-optimize only dirty jobs) | first-match (O(jobs) greedy placement)"},
+    {"queue-admission", "queue_admission", POLLUX_KNOB(queue_admission), kUnit,
+     "incremental mode: admit queued jobs to GA shards only up to the round's free GPU capacity "
+     "(backlogged jobs defer instead of inflating dirty-shard counts)"},
+    {"restart_penalty", "restart_penalty", POLLUX_KNOB(restart_penalty), kNonNegative,
+     "RESTART_PENALTY in the fitness function"},
+    {"tick", "tick", POLLUX_KNOB(tick), kPositive, "simulation clock step in seconds"},
+    {"obs_noise", "obs_noise", POLLUX_KNOB(observation_noise), kNonNegative,
+     "lognormal sigma of profiled iteration times"},
+    {"gns_noise", "gns_noise", POLLUX_KNOB(gns_noise), kNonNegative,
+     "lognormal sigma of gradient moment samples"},
+    {"seed", "seed", POLLUX_KNOB(seed), kNonNegative, "base random seed"},
+    {"fault-profile", "", POLLUX_KNOB(faults), kAny,
+     "fault injection preset: none | light | heavy (individual fault flags override the preset)",
+     KnobRole::kPlain, "none"},
+    {"mtbf-node", "mtbf_node", POLLUX_KNOB(faults.mtbf_node), kNonNegative,
+     "mean time between node failures in seconds "
+     "(0 disables crashes; negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"repair-time", "repair_time", POLLUX_KNOB(faults.repair_time), kNonNegative,
+     "mean node repair time in seconds (negative keeps the profile value)", KnobRole::kOverride},
+    {"straggler-frac", "straggler_frac", POLLUX_KNOB(faults.straggler_frac), kUnit,
+     "fraction of nodes that are persistent stragglers (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"straggler-slowdown", "straggler_slowdown", POLLUX_KNOB(faults.straggler_slowdown), {1, kInf},
+     "iteration-time multiplier on straggler nodes (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"report-drop-rate", "report_drop_rate", POLLUX_KNOB(faults.report_drop_rate), kUnit,
+     "probability each 30s agent report is lost (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"restart-fail-rate", "restart_fail_rate", POLLUX_KNOB(faults.restart_fail_rate), kUnit,
+     "probability a checkpoint-restart attempt fails (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"", "restart_backoff_init", POLLUX_KNOB(faults.restart_backoff_init), kNonNegative, ""},
+    {"", "restart_backoff_cap", POLLUX_KNOB(faults.restart_backoff_cap), kNonNegative, ""},
+    {"mtbf-sched", "mtbf_sched", POLLUX_KNOB(faults.mtbf_sched), kNonNegative,
+     "mean time between scheduler-process crashes in seconds "
+     "(0 disables; negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"sched-recovery", "sched_recovery", POLLUX_KNOB(faults.sched_recovery), kAny,
+     "scheduler crash recovery: warm (lossless control-plane snapshot reload) | cold "
+     "(agents refit, queues rebuilt)"},
+    {"net-profile", "", POLLUX_KNOB(net), kAny,
+     "control-plane network model preset: none | lan | flaky | partitioned "
+     "(individual --net-* flags override the preset)",
+     KnobRole::kPlain, "none"},
+    {"net-latency", "net_latency", POLLUX_KNOB(net.latency), kNonNegative,
+     "base one-way control message latency in seconds (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-jitter", "net_jitter", POLLUX_KNOB(net.jitter), kNonNegative,
+     "mean exponential jitter added to each delivery in seconds (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-loss", "net_loss", POLLUX_KNOB(net.loss_rate), kUnit,
+     "probability one control message send attempt is lost (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-burst-rate", "net_burst_rate", POLLUX_KNOB(net.burst_rate), kUnit,
+     "probability a send trips the channel into a loss burst (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-burst-duration", "net_burst_duration", POLLUX_KNOB(net.burst_duration), kNonNegative,
+     "mean loss burst length in seconds (negative keeps the profile value)", KnobRole::kOverride},
+    {"net-dup", "net_dup", POLLUX_KNOB(net.dup_rate), kUnit,
+     "probability a delivered message is duplicated (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-reorder", "net_reorder", POLLUX_KNOB(net.reorder_rate), kUnit,
+     "probability a delivery is delayed enough to reorder (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-reorder-extra", "net_reorder_extra", POLLUX_KNOB(net.reorder_extra), kNonNegative,
+     "max extra reorder delay in seconds (negative keeps the profile value)", KnobRole::kOverride},
+    {"net-mtbf-partition", "net_mtbf_partition", POLLUX_KNOB(net.mtbf_partition), kNonNegative,
+     "mean time between single-node control partitions in seconds "
+     "(0 disables; negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-partition-duration", "net_partition_duration", POLLUX_KNOB(net.partition_duration),
+     kNonNegative,
+     "mean single-node partition duration in seconds (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-mtbf-rack-partition", "net_mtbf_rack_partition", POLLUX_KNOB(net.mtbf_rack_partition),
+     kNonNegative,
+     "mean time between rack-scoped control partitions in seconds "
+     "(0 disables; negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-rack-partition-duration", "net_rack_partition_duration",
+     POLLUX_KNOB(net.rack_partition_duration), kNonNegative,
+     "mean rack partition duration in seconds (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-rack-size", "net_rack_size", POLLUX_KNOB(net.rack_size), kNonNegative,
+     "nodes per rack for rack-scoped partitions (negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"", "net_retry_backoff_init", POLLUX_KNOB(net.retry_backoff_init), kNonNegative, ""},
+    {"", "net_retry_backoff_cap", POLLUX_KNOB(net.retry_backoff_cap), kNonNegative, ""},
+    {"", "net_max_retries", POLLUX_KNOB(net.max_retries), kNonNegative, ""},
+    {"net-lease-intervals", "net_lease_intervals", POLLUX_KNOB(net.lease_intervals), kNonNegative,
+     "report intervals without a heartbeat before a node's capacity is masked "
+     "(negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-lease-grace", "net_lease_grace", POLLUX_KNOB(net.lease_grace), kNonNegative,
+     "seconds a job with an expired report lease is frozen before eviction "
+     "(negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-degraded-coverage", "net_degraded_coverage", POLLUX_KNOB(net.degraded_coverage), kUnit,
+     "fresh-report coverage below which the scheduler freezes warm allocations for the round "
+     "(negative keeps the profile value)",
+     KnobRole::kOverride},
+    {"net-naive-masking", "net_naive_masking", POLLUX_KNOB(net.naive_masking), kUnit,
+     "baseline liveness: instantly mask failed capacity and reclaim stale jobs with no lease, "
+     "grace, or degraded rounds"},
+    {"check-invariants", "check_invariants", POLLUX_KNOB(check_invariants), kUnit,
+     "verify simulator invariants at every event instant (abort on violation)"},
+    {"sched-budget", "sched_budget", POLLUX_KNOB(round_time_budget), kNonNegative,
+     "wall-clock budget per Pollux scheduling round in seconds "
+     "(0 = unlimited; overruns fall back to the projected allocation)"},
+    {"checkpoint-every", "", POLLUX_KNOB(checkpoint_every), kNonNegative,
+     "write a crash-consistent state snapshot every N sim-seconds "
+     "(0 disables; requires --checkpoint-dir)"},
+    {"checkpoint-dir", "", POLLUX_KNOB(checkpoint_dir), kAny,
+     "directory for state snapshots (required with --checkpoint-every)"},
+    {"halt-after", "", POLLUX_KNOB(halt_after_checkpoint), kNonNegative,
+     "stop after the first snapshot at or past this sim time "
+     "(0 = run to completion; emulates a crash for resume testing)"},
+    {"topology", "", std::monostate{}, kAny,
+     "rack topology \"RxN\" (R racks of N nodes, overrides --nodes); empty keeps the flat "
+     "single-tier cluster model"},
+    {"", "racks", POLLUX_KNOB(racks), {0, 1e6}, "", KnobRole::kTopology},
+    {"rack-link-factor", "rack_link_factor", POLLUX_KNOB(rack_link_factor), {1.0, kInf},
+     "multiplier (>= 1) on the node-tier sync cost for gangs that span racks "
+     "(used with --topology)",
+     KnobRole::kTopology},
+    {"gpu-mix", "gpu_mix", POLLUX_KNOB(gpu_mix), kAny,
+     "GPU generation mix \"type:frac,...\" over nodes (types: t4, p100, v100, a100; fractions "
+     "sum to 1), e.g. \"a100:0.25,t4:0.75\"; empty keeps an all-t4 (baseline) cluster",
+     KnobRole::kTopology},
+    {"topology-blind", "topology_blind", POLLUX_KNOB(topology_blind), kUnit,
+     "hide the topology annotations from the scheduler "
+     "(ground-truth job speeds stay topology-aware); the bench_topology A/B baseline",
+     KnobRole::kTopology},
+    {"sync-heavy", "sync_heavy_fraction", POLLUX_KNOB(sync_heavy_fraction), {-kInf, 1.0},
+     "fraction of trace jobs redrawn as sync-heavy multi-node gangs "
+     "(negative keeps the standard Philly-style trace)",
+     KnobRole::kTopology},
+};
+
+#undef POLLUX_KNOB
+
+// The member type behind a Field alternative (std::monostate for none).
+template <typename M>
+struct FieldTypeOf {
+  using type = std::monostate;
+};
+template <typename T>
+struct FieldTypeOf<Member<T>> {
+  using type = T;
+};
+template <typename M>
+using FieldType = typename FieldTypeOf<M>::type;
+
+// Whether a member holds a single encodable value (presets and the
+// member-less --topology row do not).
+template <typename T>
+constexpr bool kIsValue = !std::is_same_v<T, std::monostate> && !std::is_same_v<T, FaultOptions> &&
+                          !std::is_same_v<T, NetOptions>;
+
+// Value parsers shared by flags and decode. Integers are range-checked before
+// narrowing; doubles must be finite; enums and presets go through their
+// *ByName functions.
+bool ParseValue(const std::string& text, int* value) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE ||
+      parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *value = static_cast<int>(parsed);
+  return true;
+}
+
+bool ParseValue(const std::string& text, uint64_t* value) {
+  // strtoull silently negates a leading '-'.
+  if (text.empty() || text.find('-') != std::string::npos) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtoull(text.c_str(), &end, 10);
+  return *end == '\0' && errno != ERANGE;
+}
+
+bool ParseValue(const std::string& text, double* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtod(text.c_str(), &end);
+  return !text.empty() && *end == '\0' && errno != ERANGE && std::isfinite(*value);
+}
+
+bool ParseValue(const std::string& text, bool* value) {
+  *value = text == "1";
+  return text == "0" || text == "1";
+}
+
+bool ParseValue(const std::string& text, std::string* value) {
+  *value = text;
+  return true;
+}
+
+bool ParseValue(const std::string& text, SchedMode* out) { return SchedModeByName(text, out); }
+bool ParseValue(const std::string& text, SchedRecovery* out) {
+  return SchedRecoveryByName(text, out);
+}
+bool ParseValue(const std::string& text, FaultOptions* out) {
+  return FaultProfileByName(text, out);
+}
+bool ParseValue(const std::string& text, NetOptions* out) { return NetProfileByName(text, out); }
+
+std::string FormatValue(int value) { return std::to_string(value); }
+std::string FormatValue(uint64_t value) { return std::to_string(value); }
+std::string FormatValue(bool value) { return value ? "1" : "0"; }
+std::string FormatValue(const std::string& value) { return value; }
+std::string FormatValue(SchedMode value) { return SchedModeName(value); }
+std::string FormatValue(SchedRecovery value) { return SchedRecoveryName(value); }
+
+std::string FormatValue(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+std::string DescribeRange(const KnobRange& range) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%c%g, %g%c", range.lo_open || std::isinf(range.lo) ? '(' : '[',
+                range.lo, range.hi, range.hi_open || std::isinf(range.hi) ? ')' : ']');
+  return buf;
+}
+
+// Parses `text` into the row's member and checks the row's range: the one
+// validation path for flags and decode. With keep_if_negative (override
+// flags) a negative number leaves the member as the preset set it.
+bool SetKnob(const Knob& knob, const std::string& text, bool keep_if_negative,
+             BenchSimConfig* config, std::string* error) {
+  return std::visit(
+      [&](auto member) -> bool {
+        using T = FieldType<decltype(member)>;
+        if constexpr (std::is_same_v<T, std::monostate>) {
+          return true;
+        } else {
+          T value{};
+          if (!ParseValue(text, &value)) {
+            *error = "is not a valid value";
+            return false;
+          }
+          if constexpr (std::is_arithmetic_v<T>) {
+            const double number = static_cast<double>(value);
+            if (keep_if_negative && number < 0.0) {
+              return true;
+            }
+            if (!knob.range.Contains(number)) {
+              *error = "is outside " + DescribeRange(knob.range);
+              return false;
+            }
+          }
+          member(*config) = std::move(value);
+          return true;
+        }
+      },
+      knob.field);
+}
+
+const Knob* FindKnobByKey(const std::string& key) {
+  for (const Knob& knob : kKnobs) {
+    if (*knob.key != '\0' && key == knob.key) {
+      return &knob;
+    }
+  }
+  return nullptr;
+}
+
+// The rack/node layout the config describes (one rack when no topology is
+// set); ClusterFromBenchConfig materializes it, CheckGpuMix validates against
+// it.
+TopologySpec BenchTopology(const BenchSimConfig& config) {
+  TopologySpec spec;
+  spec.num_racks = std::max(config.racks, 1);
+  spec.nodes_per_rack = std::max(config.nodes / spec.num_racks, 1);
+  spec.gpus_per_node = config.gpus_per_node;
+  spec.rack_link_factor = config.rack_link_factor;
+  return spec;
+}
+
+// Cross-field rule shared by flags and decode: a GPU mix must fit the final
+// node count (a mix without --topology describes a heterogeneous single-rack
+// cluster).
+bool CheckGpuMix(const BenchSimConfig& config, std::string* error) {
+  TopologySpec spec = BenchTopology(config);
+  return config.gpu_mix.empty() || ParseGpuMix(config.gpu_mix, &spec, error);
+}
+
+[[noreturn]] void ExitUsage(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(kExitUsage);
+}
+
+}  // namespace
+
 void AddCommonFlags(FlagParser& flags) {
-  flags.DefineInt("nodes", 16, "number of cluster nodes");
-  flags.DefineInt("gpus_per_node", 4, "GPUs per node");
-  flags.DefineString("topology", "",
-                     "rack topology \"RxN\" (R racks of N nodes, overrides --nodes); "
-                     "empty keeps the flat single-tier cluster model");
-  flags.DefineString("gpu-mix", "",
-                     "GPU generation mix \"type:frac,...\" over nodes (types: t4, p100, "
-                     "v100, a100; fractions sum to 1), e.g. \"a100:0.25,t4:0.75\"; "
-                     "empty keeps an all-t4 (baseline) cluster");
-  flags.DefineDouble("rack-link-factor", 2.5,
-                     "multiplier (>= 1) on the node-tier sync cost for gangs that "
-                     "span racks (used with --topology)");
-  flags.DefineBool("topology-blind", false,
-                   "hide the topology annotations from the scheduler (ground-truth "
-                   "job speeds stay topology-aware); the bench_topology A/B baseline");
-  flags.DefineDouble("sync-heavy", -1.0,
-                     "fraction of trace jobs redrawn as sync-heavy multi-node gangs "
-                     "(negative keeps the standard Philly-style trace)");
-  flags.DefineInt("jobs", 160, "job submissions in the trace window");
-  flags.DefineDouble("duration_hours", 8.0, "trace window length in hours");
-  flags.DefineDouble("load", 1.0, "relative load factor (scales job count)");
-  flags.DefineDouble("user_frac", 0.0, "fraction of user-configured (non-tuned) jobs");
-  flags.DefineDouble("interference", 0.0, "network interference slowdown in [0,1)");
-  flags.DefineBool("avoidance", true, "PolluxSched interference avoidance constraint");
-  flags.DefineDouble("weight_lambda", 0.5, "job weight decay lambda (Eqn. 16)");
-  flags.DefineInt("ga_pop", 40, "genetic algorithm population size");
-  flags.DefineInt("ga_gens", 25, "genetic algorithm generations per round");
-  flags.DefineInt("threads", 1, "scheduler worker threads (0 = all hardware threads)");
-  flags.DefineDouble("sched_interval", 60.0, "scheduling interval in seconds");
-  flags.DefineDouble("report_interval", 30.0, "agent report interval in seconds");
-  flags.DefineString("sched-mode", "exact",
-                     "scheduler quality/speed ladder: exact (paper behavior) | "
-                     "incremental (re-optimize only dirty jobs) | "
-                     "first-match (O(jobs) greedy placement)");
-  flags.DefineBool("queue-admission", false,
-                   "incremental mode: admit queued jobs to GA shards only up to "
-                   "the round's free GPU capacity (backlogged jobs defer instead "
-                   "of inflating dirty-shard counts)");
-  flags.DefineDouble("restart_penalty", 0.25, "RESTART_PENALTY in the fitness function");
-  flags.DefineDouble("tick", 1.0, "simulation clock step in seconds");
-  flags.DefineDouble("obs_noise", 0.05, "lognormal sigma of profiled iteration times");
-  flags.DefineDouble("gns_noise", 0.10, "lognormal sigma of gradient moment samples");
-  flags.DefineInt("seed", 1, "base random seed");
-  flags.DefineString("fault-profile", "none",
-                     "fault injection preset: none | light | heavy "
-                     "(individual fault flags override the preset)");
-  flags.DefineDouble("mtbf-node", -1.0,
-                     "mean time between node failures in seconds (0 disables crashes; "
-                     "negative keeps the profile value)");
-  flags.DefineDouble("repair-time", -1.0,
-                     "mean node repair time in seconds (negative keeps the profile value)");
-  flags.DefineDouble("straggler-frac", -1.0,
-                     "fraction of nodes that are persistent stragglers "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("straggler-slowdown", -1.0,
-                     "iteration-time multiplier on straggler nodes "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("report-drop-rate", -1.0,
-                     "probability each 30s agent report is lost "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("restart-fail-rate", -1.0,
-                     "probability a checkpoint-restart attempt fails "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("mtbf-sched", -1.0,
-                     "mean time between scheduler-process crashes in seconds "
-                     "(0 disables; negative keeps the profile value)");
-  flags.DefineString("sched-recovery", "warm",
-                     "scheduler crash recovery: warm (lossless control-plane "
-                     "snapshot reload) | cold (agents refit, queues rebuilt)");
-  flags.DefineString("net-profile", "none",
-                     "control-plane network model preset: none | lan | flaky | "
-                     "partitioned (individual --net-* flags override the preset)");
-  flags.DefineDouble("net-latency", -1.0,
-                     "base one-way control message latency in seconds "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-jitter", -1.0,
-                     "mean exponential jitter added to each delivery in seconds "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-loss", -1.0,
-                     "probability one control message send attempt is lost "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-burst-rate", -1.0,
-                     "probability a send trips the channel into a loss burst "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-burst-duration", -1.0,
-                     "mean loss burst length in seconds "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-dup", -1.0,
-                     "probability a delivered message is duplicated "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-reorder", -1.0,
-                     "probability a delivery is delayed enough to reorder "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-reorder-extra", -1.0,
-                     "max extra reorder delay in seconds "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-mtbf-partition", -1.0,
-                     "mean time between single-node control partitions in seconds "
-                     "(0 disables; negative keeps the profile value)");
-  flags.DefineDouble("net-partition-duration", -1.0,
-                     "mean single-node partition duration in seconds "
-                     "(negative keeps the profile value)");
-  flags.DefineDouble("net-mtbf-rack-partition", -1.0,
-                     "mean time between rack-scoped control partitions in seconds "
-                     "(0 disables; negative keeps the profile value)");
-  flags.DefineDouble("net-rack-partition-duration", -1.0,
-                     "mean rack partition duration in seconds "
-                     "(negative keeps the profile value)");
-  flags.DefineInt("net-rack-size", -1,
-                  "nodes per rack for rack-scoped partitions "
-                  "(negative keeps the profile value)");
-  flags.DefineInt("net-lease-intervals", -1,
-                  "report intervals without a heartbeat before a node's capacity "
-                  "is masked (negative keeps the profile value)");
-  flags.DefineDouble("net-lease-grace", -1.0,
-                     "seconds a job with an expired report lease is frozen before "
-                     "eviction (negative keeps the profile value)");
-  flags.DefineDouble("net-degraded-coverage", -1.0,
-                     "fresh-report coverage below which the scheduler freezes warm "
-                     "allocations for the round (negative keeps the profile value)");
-  flags.DefineBool("net-naive-masking", false,
-                   "baseline liveness: instantly mask failed capacity and reclaim "
-                   "stale jobs with no lease, grace, or degraded rounds");
-  flags.DefineDouble("checkpoint-every", 0.0,
-                     "write a crash-consistent state snapshot every N sim-seconds "
-                     "(0 disables; requires --checkpoint-dir)");
-  flags.DefineString("checkpoint-dir", "",
-                     "directory for state snapshots (required with --checkpoint-every)");
-  flags.DefineDouble("halt-after", 0.0,
-                     "stop after the first snapshot at or past this sim time "
-                     "(0 = run to completion; emulates a crash for resume testing)");
-  flags.DefineBool("check-invariants", false,
-                   "verify simulator invariants at every event instant (abort on violation)");
-  flags.DefineDouble("sched-budget", 0.0,
-                     "wall-clock budget per Pollux scheduling round in seconds "
-                     "(0 = unlimited; overruns fall back to the projected allocation)");
+  BenchSimConfig defaults;
+  for (const Knob& knob : kKnobs) {
+    if (*knob.flag == '\0') {
+      continue;
+    }
+    std::visit(
+        [&](auto member) {
+          using T = FieldType<decltype(member)>;
+          if constexpr (!kIsValue<T>) {
+            flags.DefineString(knob.flag, knob.flag_default, knob.help);
+          } else {
+            const T& value = member(defaults);
+            const bool sentinel = knob.role == KnobRole::kOverride;
+            if constexpr (std::is_same_v<T, bool>) {
+              flags.DefineBool(knob.flag, value, knob.help);
+            } else if constexpr (std::is_same_v<T, double>) {
+              flags.DefineDouble(knob.flag, sentinel ? -1.0 : value, knob.help);
+            } else if constexpr (std::is_integral_v<T>) {
+              flags.DefineInt(knob.flag, sentinel ? -1 : static_cast<int64_t>(value), knob.help);
+            } else {
+              flags.DefineString(knob.flag, FormatValue(value), knob.help);
+            }
+          }
+        },
+        knob.field);
+  }
   AddObsFlags(flags);
 }
 
@@ -225,166 +498,36 @@ ObsSession::~ObsSession() {
 
 BenchSimConfig ConfigFromFlags(const FlagParser& flags) {
   BenchSimConfig config;
-  config.nodes = static_cast<int>(flags.GetInt("nodes"));
-  config.gpus_per_node = static_cast<int>(flags.GetInt("gpus_per_node"));
-  config.jobs = static_cast<int>(flags.GetInt("jobs"));
-  config.duration_hours = flags.GetDouble("duration_hours");
-  config.load = flags.GetDouble("load");
-  config.user_configured_fraction = flags.GetDouble("user_frac");
-  config.interference_slowdown = flags.GetDouble("interference");
-  config.interference_avoidance = flags.GetBool("avoidance");
-  config.weight_lambda = flags.GetDouble("weight_lambda");
-  config.ga_population = static_cast<int>(flags.GetInt("ga_pop"));
-  config.ga_generations = static_cast<int>(flags.GetInt("ga_gens"));
-  config.threads = static_cast<int>(flags.GetInt("threads"));
-  config.sched_interval = flags.GetDouble("sched_interval");
-  config.report_interval = flags.GetDouble("report_interval");
-  if (!SchedModeByName(flags.GetString("sched-mode"), &config.sched_mode)) {
-    std::fprintf(stderr, "unknown --sched-mode \"%s\", using \"%s\"\n",
-                 flags.GetString("sched-mode").c_str(), SchedModeName(config.sched_mode));
+  std::string error;
+  for (const Knob& knob : kKnobs) {
+    if (*knob.flag == '\0') {
+      continue;
+    }
+    const bool is_bool = std::holds_alternative<Member<bool>>(knob.field);
+    const std::string text =
+        is_bool ? FormatValue(flags.GetBool(knob.flag)) : flags.GetString(knob.flag);
+    if (!SetKnob(knob, text, knob.role == KnobRole::kOverride, &config, &error)) {
+      ExitUsage("--" + std::string(knob.flag) + "=" + text + " " + error);
+    }
   }
-  config.queue_admission = flags.GetBool("queue-admission");
-  config.restart_penalty = flags.GetDouble("restart_penalty");
-  config.tick = flags.GetDouble("tick");
-  config.observation_noise = flags.GetDouble("obs_noise");
-  config.gns_noise = flags.GetDouble("gns_noise");
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  if (!FaultProfileByName(flags.GetString("fault-profile"), &config.faults)) {
-    std::fprintf(stderr, "unknown --fault-profile \"%s\", using \"none\"\n",
-                 flags.GetString("fault-profile").c_str());
-  }
-  if (flags.GetDouble("mtbf-node") >= 0.0) {
-    config.faults.mtbf_node = flags.GetDouble("mtbf-node");
-  }
-  if (flags.GetDouble("repair-time") >= 0.0) {
-    config.faults.repair_time = flags.GetDouble("repair-time");
-  }
-  if (flags.GetDouble("straggler-frac") >= 0.0) {
-    config.faults.straggler_frac = flags.GetDouble("straggler-frac");
-  }
-  if (flags.GetDouble("straggler-slowdown") >= 0.0) {
-    config.faults.straggler_slowdown = flags.GetDouble("straggler-slowdown");
-  }
-  if (flags.GetDouble("report-drop-rate") >= 0.0) {
-    config.faults.report_drop_rate = flags.GetDouble("report-drop-rate");
-  }
-  if (flags.GetDouble("restart-fail-rate") >= 0.0) {
-    config.faults.restart_fail_rate = flags.GetDouble("restart-fail-rate");
-  }
-  if (flags.GetDouble("mtbf-sched") >= 0.0) {
-    config.faults.mtbf_sched = flags.GetDouble("mtbf-sched");
-  }
-  if (!SchedRecoveryByName(flags.GetString("sched-recovery"), &config.faults.sched_recovery)) {
-    std::fprintf(stderr, "unknown --sched-recovery \"%s\", using \"%s\"\n",
-                 flags.GetString("sched-recovery").c_str(),
-                 SchedRecoveryName(config.faults.sched_recovery));
-  }
-  if (!NetProfileByName(flags.GetString("net-profile"), &config.net)) {
-    std::fprintf(stderr, "unknown --net-profile \"%s\", using \"none\"\n",
-                 flags.GetString("net-profile").c_str());
-  }
-  if (flags.GetDouble("net-latency") >= 0.0) {
-    config.net.latency = flags.GetDouble("net-latency");
-  }
-  if (flags.GetDouble("net-jitter") >= 0.0) {
-    config.net.jitter = flags.GetDouble("net-jitter");
-  }
-  if (flags.GetDouble("net-loss") >= 0.0) {
-    config.net.loss_rate = flags.GetDouble("net-loss");
-  }
-  if (flags.GetDouble("net-burst-rate") >= 0.0) {
-    config.net.burst_rate = flags.GetDouble("net-burst-rate");
-  }
-  if (flags.GetDouble("net-burst-duration") >= 0.0) {
-    config.net.burst_duration = flags.GetDouble("net-burst-duration");
-  }
-  if (flags.GetDouble("net-dup") >= 0.0) {
-    config.net.dup_rate = flags.GetDouble("net-dup");
-  }
-  if (flags.GetDouble("net-reorder") >= 0.0) {
-    config.net.reorder_rate = flags.GetDouble("net-reorder");
-  }
-  if (flags.GetDouble("net-reorder-extra") >= 0.0) {
-    config.net.reorder_extra = flags.GetDouble("net-reorder-extra");
-  }
-  if (flags.GetDouble("net-mtbf-partition") >= 0.0) {
-    config.net.mtbf_partition = flags.GetDouble("net-mtbf-partition");
-  }
-  if (flags.GetDouble("net-partition-duration") >= 0.0) {
-    config.net.partition_duration = flags.GetDouble("net-partition-duration");
-  }
-  if (flags.GetDouble("net-mtbf-rack-partition") >= 0.0) {
-    config.net.mtbf_rack_partition = flags.GetDouble("net-mtbf-rack-partition");
-  }
-  if (flags.GetDouble("net-rack-partition-duration") >= 0.0) {
-    config.net.rack_partition_duration = flags.GetDouble("net-rack-partition-duration");
-  }
-  if (flags.GetInt("net-rack-size") >= 0) {
-    config.net.rack_size = static_cast<int>(flags.GetInt("net-rack-size"));
-  }
-  if (flags.GetInt("net-lease-intervals") >= 0) {
-    config.net.lease_intervals = static_cast<int>(flags.GetInt("net-lease-intervals"));
-  }
-  if (flags.GetDouble("net-lease-grace") >= 0.0) {
-    config.net.lease_grace = flags.GetDouble("net-lease-grace");
-  }
-  if (flags.GetDouble("net-degraded-coverage") >= 0.0) {
-    config.net.degraded_coverage = flags.GetDouble("net-degraded-coverage");
-  }
-  if (flags.GetBool("net-naive-masking")) {
-    config.net.naive_masking = true;
-  }
-  config.check_invariants = flags.GetBool("check-invariants");
-  config.round_time_budget = flags.GetDouble("sched-budget");
-  config.checkpoint_every = flags.GetDouble("checkpoint-every");
-  config.checkpoint_dir = flags.GetString("checkpoint-dir");
-  config.halt_after_checkpoint = flags.GetDouble("halt-after");
 
-  // Cluster-shape validation: malformed shapes are usage errors (exit 2),
+  // Cross-field rules. Malformed cluster shapes are usage errors (exit 2),
   // not runs that limp along with a degenerate cluster.
-  if (config.gpus_per_node <= 0) {
-    std::fprintf(stderr, "--gpus_per_node must be positive, got %d\n", config.gpus_per_node);
-    std::exit(kExitUsage);
-  }
-  const std::string topology = flags.GetString("topology");
-  const std::string gpu_mix = flags.GetString("gpu-mix");
-  std::string topo_error;
-  TopologySpec topo_spec;
+  const std::string& topology = flags.GetString("topology");
   if (!topology.empty()) {
-    if (!ParseTopology(topology, config.gpus_per_node, &topo_spec, &topo_error)) {
-      std::fprintf(stderr, "%s\n", topo_error.c_str());
-      std::exit(kExitUsage);
+    TopologySpec spec;
+    if (!ParseTopology(topology, config.gpus_per_node, &spec, &error)) {
+      ExitUsage(error);
     }
-    config.racks = topo_spec.num_racks;
-    config.nodes = topo_spec.NumNodes();  // --topology overrides --nodes.
-  }
-  if (config.nodes <= 0) {
-    std::fprintf(stderr, "--nodes must be positive, got %d\n", config.nodes);
-    std::exit(kExitUsage);
-  }
-  config.rack_link_factor = flags.GetDouble("rack-link-factor");
-  if (config.rack_link_factor < 1.0) {
-    std::fprintf(stderr, "--rack-link-factor must be >= 1, got %g\n", config.rack_link_factor);
-    std::exit(kExitUsage);
-  }
-  if (!gpu_mix.empty()) {
-    // Validate the mix against the final node count (a mix without --topology
-    // describes a heterogeneous single-rack cluster).
-    TopologySpec mix_spec = topo_spec;
-    if (topology.empty()) {
-      mix_spec = TopologySpec::FlatHomogeneous(config.nodes, config.gpus_per_node);
+    // --topology overrides --nodes, within the same bound.
+    const std::string nodes = std::to_string(int64_t{spec.num_racks} * spec.nodes_per_rack);
+    if (!SetKnob(*FindKnobByKey("nodes"), nodes, false, &config, &error)) {
+      ExitUsage("--topology=" + topology + " yields " + nodes + " nodes, which " + error);
     }
-    if (!ParseGpuMix(gpu_mix, &mix_spec, &topo_error)) {
-      std::fprintf(stderr, "%s\n", topo_error.c_str());
-      std::exit(kExitUsage);
-    }
-    config.gpu_mix = gpu_mix;
+    config.racks = spec.num_racks;
   }
-  config.topology_blind = flags.GetBool("topology-blind");
-  config.sync_heavy_fraction = flags.GetDouble("sync-heavy");
-  if (config.sync_heavy_fraction > 1.0) {
-    std::fprintf(stderr, "--sync-heavy must be <= 1, got %g\n", config.sync_heavy_fraction);
-    std::exit(kExitUsage);
+  if (!CheckGpuMix(config, &error)) {
+    ExitUsage(error);
   }
   return config;
 }
@@ -393,19 +536,13 @@ ClusterSpec ClusterFromBenchConfig(const BenchSimConfig& config) {
   if (!config.TopologyActive()) {
     return ClusterSpec::Homogeneous(config.nodes, config.gpus_per_node);
   }
-  TopologySpec spec;
-  spec.num_racks = std::max(config.racks, 1);
-  spec.nodes_per_rack = std::max(config.nodes / spec.num_racks, 1);
-  spec.gpus_per_node = config.gpus_per_node;
-  spec.rack_link_factor = config.rack_link_factor;
-  if (!config.gpu_mix.empty()) {
-    std::string error;
-    if (!ParseGpuMix(config.gpu_mix, &spec, &error)) {
-      // Pre-validated by ConfigFromFlags; a decoded snapshot config can still
-      // carry garbage, which must not silently become an all-t4 cluster.
-      std::fprintf(stderr, "%s\n", error.c_str());
-      std::exit(kExitUsage);
-    }
+  TopologySpec spec = BenchTopology(config);
+  std::string error;
+  if (!config.gpu_mix.empty() && !ParseGpuMix(config.gpu_mix, &spec, &error)) {
+    // ConfigFromFlags and DecodeBenchSimConfig validate the mix; a config
+    // built in code can still carry garbage, which must not silently become
+    // an all-t4 cluster.
+    ExitUsage(error);
   }
   return spec.ToCluster();
 }
@@ -550,115 +687,35 @@ SimResult RunImportedTrace(const std::string& policy, const BenchSimConfig& conf
   });
 }
 
-namespace {
-
-void PutConfigDouble(std::ostringstream& out, const char* key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out << key << '=' << buf << '\n';
-}
-
-bool ParseConfigDouble(const std::string& text, double* value) {
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0';
-}
-
-bool ParseConfigInt(const std::string& text, int* value) {
-  char* end = nullptr;
-  const long parsed = std::strtol(text.c_str(), &end, 10);
-  *value = static_cast<int>(parsed);
-  return end != text.c_str() && *end == '\0';
-}
-
-bool ParseConfigU64(const std::string& text, uint64_t* value) {
-  char* end = nullptr;
-  *value = std::strtoull(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
-}
-
-bool ParseConfigBool(const std::string& text, bool* value) {
-  if (text == "0" || text == "1") {
-    *value = text == "1";
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::string EncodeBenchSimConfig(const BenchSimConfig& config) {
-  std::ostringstream out;
-  out << "nodes=" << config.nodes << '\n';
-  out << "gpus_per_node=" << config.gpus_per_node << '\n';
-  out << "jobs=" << config.jobs << '\n';
-  PutConfigDouble(out, "duration_hours", config.duration_hours);
-  PutConfigDouble(out, "load", config.load);
-  PutConfigDouble(out, "user_frac", config.user_configured_fraction);
-  PutConfigDouble(out, "interference", config.interference_slowdown);
-  out << "avoidance=" << (config.interference_avoidance ? 1 : 0) << '\n';
-  PutConfigDouble(out, "weight_lambda", config.weight_lambda);
-  out << "ga_pop=" << config.ga_population << '\n';
-  out << "ga_gens=" << config.ga_generations << '\n';
-  out << "threads=" << config.threads << '\n';
-  PutConfigDouble(out, "sched_interval", config.sched_interval);
-  PutConfigDouble(out, "report_interval", config.report_interval);
-  out << "sched_mode=" << SchedModeName(config.sched_mode) << '\n';
-  out << "queue_admission=" << (config.queue_admission ? 1 : 0) << '\n';
-  PutConfigDouble(out, "restart_penalty", config.restart_penalty);
-  PutConfigDouble(out, "tick", config.tick);
-  PutConfigDouble(out, "obs_noise", config.observation_noise);
-  PutConfigDouble(out, "gns_noise", config.gns_noise);
-  out << "seed=" << config.seed << '\n';
-  PutConfigDouble(out, "mtbf_node", config.faults.mtbf_node);
-  PutConfigDouble(out, "repair_time", config.faults.repair_time);
-  PutConfigDouble(out, "straggler_frac", config.faults.straggler_frac);
-  PutConfigDouble(out, "straggler_slowdown", config.faults.straggler_slowdown);
-  PutConfigDouble(out, "report_drop_rate", config.faults.report_drop_rate);
-  PutConfigDouble(out, "restart_fail_rate", config.faults.restart_fail_rate);
-  PutConfigDouble(out, "restart_backoff_init", config.faults.restart_backoff_init);
-  PutConfigDouble(out, "restart_backoff_cap", config.faults.restart_backoff_cap);
-  PutConfigDouble(out, "mtbf_sched", config.faults.mtbf_sched);
-  out << "sched_recovery=" << SchedRecoveryName(config.faults.sched_recovery) << '\n';
-  PutConfigDouble(out, "net_latency", config.net.latency);
-  PutConfigDouble(out, "net_jitter", config.net.jitter);
-  PutConfigDouble(out, "net_loss", config.net.loss_rate);
-  PutConfigDouble(out, "net_burst_rate", config.net.burst_rate);
-  PutConfigDouble(out, "net_burst_duration", config.net.burst_duration);
-  PutConfigDouble(out, "net_dup", config.net.dup_rate);
-  PutConfigDouble(out, "net_reorder", config.net.reorder_rate);
-  PutConfigDouble(out, "net_reorder_extra", config.net.reorder_extra);
-  PutConfigDouble(out, "net_mtbf_partition", config.net.mtbf_partition);
-  PutConfigDouble(out, "net_partition_duration", config.net.partition_duration);
-  PutConfigDouble(out, "net_mtbf_rack_partition", config.net.mtbf_rack_partition);
-  PutConfigDouble(out, "net_rack_partition_duration", config.net.rack_partition_duration);
-  out << "net_rack_size=" << config.net.rack_size << '\n';
-  PutConfigDouble(out, "net_retry_backoff_init", config.net.retry_backoff_init);
-  PutConfigDouble(out, "net_retry_backoff_cap", config.net.retry_backoff_cap);
-  out << "net_max_retries=" << config.net.max_retries << '\n';
-  out << "net_lease_intervals=" << config.net.lease_intervals << '\n';
-  PutConfigDouble(out, "net_lease_grace", config.net.lease_grace);
-  PutConfigDouble(out, "net_degraded_coverage", config.net.degraded_coverage);
-  out << "net_naive_masking=" << (config.net.naive_masking ? 1 : 0) << '\n';
-  out << "check_invariants=" << (config.check_invariants ? 1 : 0) << '\n';
-  PutConfigDouble(out, "sched_budget", config.round_time_budget);
-  // Topology keys only when a topology knob is engaged: flat configs encode
-  // byte-identically to pre-topology drivers (whose decoder rejects unknown
-  // keys), so their snapshots stay mutually resumable.
-  if (config.TopologyActive() || config.topology_blind || config.sync_heavy_fraction >= 0.0) {
-    out << "racks=" << config.racks << '\n';
-    PutConfigDouble(out, "rack_link_factor", config.rack_link_factor);
-    out << "gpu_mix=" << config.gpu_mix << '\n';
-    out << "topology_blind=" << (config.topology_blind ? 1 : 0) << '\n';
-    PutConfigDouble(out, "sync_heavy_fraction", config.sync_heavy_fraction);
+  const bool topology =
+      config.TopologyActive() || config.topology_blind || config.sync_heavy_fraction >= 0.0;
+  BenchSimConfig source = config;  // Row accessors take a mutable config.
+  std::string out;
+  for (const Knob& knob : kKnobs) {
+    if (*knob.key == '\0' || (knob.role == KnobRole::kTopology && !topology)) {
+      continue;
+    }
+    std::visit(
+        [&](auto member) {
+          using T = FieldType<decltype(member)>;
+          if constexpr (kIsValue<T>) {
+            out += knob.key;
+            out += '=';
+            out += FormatValue(member(source));
+            out += '\n';
+          }
+        },
+        knob.field);
   }
-  return out.str();
+  return out;
 }
 
 bool DecodeBenchSimConfig(const std::string& text, BenchSimConfig* config) {
   BenchSimConfig parsed;
   std::istringstream in(text);
   std::string line;
+  std::string error;
   while (std::getline(in, line)) {
     if (line.empty()) {
       continue;
@@ -667,137 +724,30 @@ bool DecodeBenchSimConfig(const std::string& text, BenchSimConfig* config) {
     if (eq == std::string::npos) {
       return false;
     }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    bool ok = true;
-    if (key == "nodes") {
-      ok = ParseConfigInt(value, &parsed.nodes);
-    } else if (key == "gpus_per_node") {
-      ok = ParseConfigInt(value, &parsed.gpus_per_node);
-    } else if (key == "jobs") {
-      ok = ParseConfigInt(value, &parsed.jobs);
-    } else if (key == "duration_hours") {
-      ok = ParseConfigDouble(value, &parsed.duration_hours);
-    } else if (key == "load") {
-      ok = ParseConfigDouble(value, &parsed.load);
-    } else if (key == "user_frac") {
-      ok = ParseConfigDouble(value, &parsed.user_configured_fraction);
-    } else if (key == "interference") {
-      ok = ParseConfigDouble(value, &parsed.interference_slowdown);
-    } else if (key == "avoidance") {
-      ok = ParseConfigBool(value, &parsed.interference_avoidance);
-    } else if (key == "weight_lambda") {
-      ok = ParseConfigDouble(value, &parsed.weight_lambda);
-    } else if (key == "ga_pop") {
-      ok = ParseConfigInt(value, &parsed.ga_population);
-    } else if (key == "ga_gens") {
-      ok = ParseConfigInt(value, &parsed.ga_generations);
-    } else if (key == "threads") {
-      ok = ParseConfigInt(value, &parsed.threads);
-    } else if (key == "sched_interval") {
-      ok = ParseConfigDouble(value, &parsed.sched_interval);
-    } else if (key == "report_interval") {
-      ok = ParseConfigDouble(value, &parsed.report_interval);
-    } else if (key == "sched_mode") {
-      ok = SchedModeByName(value, &parsed.sched_mode);
-    } else if (key == "queue_admission") {
-      ok = ParseConfigBool(value, &parsed.queue_admission);
-    } else if (key == "restart_penalty") {
-      ok = ParseConfigDouble(value, &parsed.restart_penalty);
-    } else if (key == "tick") {
-      ok = ParseConfigDouble(value, &parsed.tick);
-    } else if (key == "obs_noise") {
-      ok = ParseConfigDouble(value, &parsed.observation_noise);
-    } else if (key == "gns_noise") {
-      ok = ParseConfigDouble(value, &parsed.gns_noise);
-    } else if (key == "seed") {
-      ok = ParseConfigU64(value, &parsed.seed);
-    } else if (key == "mtbf_node") {
-      ok = ParseConfigDouble(value, &parsed.faults.mtbf_node);
-    } else if (key == "repair_time") {
-      ok = ParseConfigDouble(value, &parsed.faults.repair_time);
-    } else if (key == "straggler_frac") {
-      ok = ParseConfigDouble(value, &parsed.faults.straggler_frac);
-    } else if (key == "straggler_slowdown") {
-      ok = ParseConfigDouble(value, &parsed.faults.straggler_slowdown);
-    } else if (key == "report_drop_rate") {
-      ok = ParseConfigDouble(value, &parsed.faults.report_drop_rate);
-    } else if (key == "restart_fail_rate") {
-      ok = ParseConfigDouble(value, &parsed.faults.restart_fail_rate);
-    } else if (key == "restart_backoff_init") {
-      ok = ParseConfigDouble(value, &parsed.faults.restart_backoff_init);
-    } else if (key == "restart_backoff_cap") {
-      ok = ParseConfigDouble(value, &parsed.faults.restart_backoff_cap);
-    } else if (key == "mtbf_sched") {
-      ok = ParseConfigDouble(value, &parsed.faults.mtbf_sched);
-    } else if (key == "sched_recovery") {
-      ok = SchedRecoveryByName(value, &parsed.faults.sched_recovery);
-    } else if (key == "net_latency") {
-      ok = ParseConfigDouble(value, &parsed.net.latency);
-    } else if (key == "net_jitter") {
-      ok = ParseConfigDouble(value, &parsed.net.jitter);
-    } else if (key == "net_loss") {
-      ok = ParseConfigDouble(value, &parsed.net.loss_rate);
-    } else if (key == "net_burst_rate") {
-      ok = ParseConfigDouble(value, &parsed.net.burst_rate);
-    } else if (key == "net_burst_duration") {
-      ok = ParseConfigDouble(value, &parsed.net.burst_duration);
-    } else if (key == "net_dup") {
-      ok = ParseConfigDouble(value, &parsed.net.dup_rate);
-    } else if (key == "net_reorder") {
-      ok = ParseConfigDouble(value, &parsed.net.reorder_rate);
-    } else if (key == "net_reorder_extra") {
-      ok = ParseConfigDouble(value, &parsed.net.reorder_extra);
-    } else if (key == "net_mtbf_partition") {
-      ok = ParseConfigDouble(value, &parsed.net.mtbf_partition);
-    } else if (key == "net_partition_duration") {
-      ok = ParseConfigDouble(value, &parsed.net.partition_duration);
-    } else if (key == "net_mtbf_rack_partition") {
-      ok = ParseConfigDouble(value, &parsed.net.mtbf_rack_partition);
-    } else if (key == "net_rack_partition_duration") {
-      ok = ParseConfigDouble(value, &parsed.net.rack_partition_duration);
-    } else if (key == "net_rack_size") {
-      ok = ParseConfigInt(value, &parsed.net.rack_size);
-    } else if (key == "net_retry_backoff_init") {
-      ok = ParseConfigDouble(value, &parsed.net.retry_backoff_init);
-    } else if (key == "net_retry_backoff_cap") {
-      ok = ParseConfigDouble(value, &parsed.net.retry_backoff_cap);
-    } else if (key == "net_max_retries") {
-      ok = ParseConfigInt(value, &parsed.net.max_retries);
-    } else if (key == "net_lease_intervals") {
-      ok = ParseConfigInt(value, &parsed.net.lease_intervals);
-    } else if (key == "net_lease_grace") {
-      ok = ParseConfigDouble(value, &parsed.net.lease_grace);
-    } else if (key == "net_degraded_coverage") {
-      ok = ParseConfigDouble(value, &parsed.net.degraded_coverage);
-    } else if (key == "net_naive_masking") {
-      ok = ParseConfigBool(value, &parsed.net.naive_masking);
-    } else if (key == "check_invariants") {
-      ok = ParseConfigBool(value, &parsed.check_invariants);
-    } else if (key == "sched_budget") {
-      ok = ParseConfigDouble(value, &parsed.round_time_budget);
-    } else if (key == "racks") {
-      ok = ParseConfigInt(value, &parsed.racks);
-    } else if (key == "rack_link_factor") {
-      ok = ParseConfigDouble(value, &parsed.rack_link_factor);
-    } else if (key == "gpu_mix") {
-      parsed.gpu_mix = value;
-    } else if (key == "topology_blind") {
-      ok = ParseConfigBool(value, &parsed.topology_blind);
-    } else if (key == "sync_heavy_fraction") {
-      ok = ParseConfigDouble(value, &parsed.sync_heavy_fraction);
-    } else {
-      ok = false;  // Unknown key: written by an incompatible (newer) driver.
-    }
-    if (!ok) {
+    // An unknown key was written by an incompatible (newer) driver.
+    const Knob* knob = FindKnobByKey(line.substr(0, eq));
+    if (knob == nullptr || !SetKnob(*knob, line.substr(eq + 1), false, &parsed, &error)) {
       return false;
     }
+  }
+  if (!CheckGpuMix(parsed, &error)) {
+    return false;
   }
   *config = parsed;
   return true;
 }
 
-bool ResumeBenchFromSnapshot(const std::string& path_or_dir, const BenchResumeOptions& resume,
+std::vector<std::pair<std::string, KnobRange>> BenchConfigKeyRanges() {
+  std::vector<std::pair<std::string, KnobRange>> keys;
+  for (const Knob& knob : kKnobs) {
+    if (*knob.key != '\0') {
+      keys.emplace_back(knob.key, knob.range);
+    }
+  }
+  return keys;
+}
+
+bool ResumeBenchFromSnapshot(const std::string& path_or_dir, const BenchSimConfig& run_local,
                              SimResult* result, std::string* policy, std::string* error) {
   const std::string path = ResolveSnapshotPath(path_or_dir, error);
   if (path.empty()) {
@@ -826,9 +776,9 @@ bool ResumeBenchFromSnapshot(const std::string& path_or_dir, const BenchResumeOp
   }
   // Checkpoint knobs are run-local: the resumed run uses the caller's, not
   // whatever the interrupted run was configured with.
-  config.checkpoint_every = resume.checkpoint_every;
-  config.checkpoint_dir = resume.checkpoint_dir;
-  config.halt_after_checkpoint = resume.halt_after_checkpoint;
+  config.checkpoint_every = run_local.checkpoint_every;
+  config.checkpoint_dir = run_local.checkpoint_dir;
+  config.halt_after_checkpoint = run_local.halt_after_checkpoint;
   const SimOptions options = SimOptionsFromBenchConfig(config);
   bool loaded = true;
   const SimResult run =

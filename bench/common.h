@@ -6,6 +6,7 @@
 #define POLLUX_BENCH_COMMON_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sched.h"
@@ -142,9 +143,9 @@ class ObsSession {
   std::string trace_out_;
 };
 
-// Builds the config from parsed flags. Exits with kExitUsage on malformed
-// cluster-shape arguments (non-positive --nodes/--gpus_per_node, invalid
-// --topology/--gpu-mix/--rack-link-factor).
+// Builds the config from parsed flags. Exits with kExitUsage on any value
+// outside its knob's bounds (non-finite numbers, out-of-range integers,
+// unknown enum or preset names) and on malformed --topology/--gpu-mix.
 BenchSimConfig ConfigFromFlags(const FlagParser& flags);
 
 // The cluster the config describes: flat homogeneous when no topology knob is
@@ -172,25 +173,37 @@ SimResult RunImportedTrace(const std::string& policy, const BenchSimConfig& conf
 
 // Serializes the run-defining subset of the config (everything except the
 // checkpoint knobs) as key=value lines. Stored in each snapshot's "extra"
-// section so --resume-from can rebuild the exact run configuration.
+// section so --resume-from can rebuild the exact run configuration. Decode
+// enforces the same bounds as the flags and returns false on an unknown key
+// or an out-of-bounds value.
 std::string EncodeBenchSimConfig(const BenchSimConfig& config);
 bool DecodeBenchSimConfig(const std::string& text, BenchSimConfig* config);
 
-// Run-local overrides applied on top of a snapshot's embedded config when
-// resuming (a resumed run may checkpoint into a different directory, or not
-// at all).
-struct BenchResumeOptions {
-  double checkpoint_every = 0.0;
-  std::string checkpoint_dir;
-  double halt_after_checkpoint = 0.0;
+// Bounds a numeric knob's value must lie in (it must also be finite).
+struct KnobRange {
+  double lo;
+  double hi;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool Contains(double value) const {
+    return (lo_open ? value > lo : value >= lo) && (hi_open ? value < hi : value <= hi);
+  }
 };
+
+// The codec keys of the config table in encoding order, each with the range
+// DecodeBenchSimConfig enforces (unbounded for enum and string keys). Lets
+// tests cover every row.
+std::vector<std::pair<std::string, KnobRange>> BenchConfigKeyRanges();
 
 // Resumes a run from a snapshot file (or the newest valid snapshot in a
 // directory): rebuilds the policy and trace from the snapshot's embedded
-// config, restores the simulator state, and runs to completion. On success
-// fills *result and *policy (the policy name the run was started with) and
-// returns true; on failure fills *error and returns false.
-bool ResumeBenchFromSnapshot(const std::string& path_or_dir, const BenchResumeOptions& resume,
+// config, restores the simulator state, and runs to completion. Only the
+// run-local checkpoint knobs come from `run_local` (a resumed run may
+// checkpoint into a different directory, or not at all). On success fills
+// *result and *policy (the policy name the run was started with) and returns
+// true; on failure fills *error and returns false.
+bool ResumeBenchFromSnapshot(const std::string& path_or_dir, const BenchSimConfig& run_local,
                              SimResult* result, std::string* policy, std::string* error);
 
 // Convenience wrapper that averages a metric over `seeds` trace seeds.

@@ -1,6 +1,7 @@
 #include "service/tenant.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <utility>
 
@@ -128,6 +129,16 @@ bool GetSchedConfig(BinReader& in, SchedConfig* config) {
       config->ga.tournament_size < 1) {
     in.MarkBad();
     return false;
+  }
+  // Nor smuggle NaN or infinity into the fitness, weight and lease arithmetic.
+  for (double value : {config->ga.restart_penalty, config->gpu_time_threshold,
+                       config->weight_lambda, config->round_time_budget, config->stale_report_age,
+                       config->report_interval, config->lease_grace, config->degraded_coverage,
+                       config->dirty_rel_change}) {
+    if (!std::isfinite(value)) {
+      in.MarkBad();
+      return false;
+    }
   }
   return true;
 }

@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -136,6 +138,47 @@ TEST(TenantSetupTest, RejectsMalformedShapes) {
       BinReader in(prefix);
       TenantSetup parsed;
       EXPECT_FALSE(GetTenantSetup(in, &parsed) && in.AtEnd()) << "prefix " << len;
+    }
+  }
+}
+
+// CRC-valid hostile fixtures: a CreateTenant frame and a tenant snapshot whose
+// framing is intact but whose scheduler config carries NaN or infinity.
+TEST(TenantSetupTest, RejectsNonFiniteConfigDoubles) {
+  const std::vector<std::function<double&(SchedConfig&)>> fields = {
+      [](SchedConfig& c) -> double& { return c.ga.restart_penalty; },
+      [](SchedConfig& c) -> double& { return c.gpu_time_threshold; },
+      [](SchedConfig& c) -> double& { return c.weight_lambda; },
+      [](SchedConfig& c) -> double& { return c.round_time_budget; },
+      [](SchedConfig& c) -> double& { return c.stale_report_age; },
+      [](SchedConfig& c) -> double& { return c.report_interval; },
+      [](SchedConfig& c) -> double& { return c.lease_grace; },
+      [](SchedConfig& c) -> double& { return c.degraded_coverage; },
+      [](SchedConfig& c) -> double& { return c.dirty_rel_change; },
+  };
+  const double hostile[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (size_t f = 0; f < fields.size(); ++f) {
+    for (double value : hostile) {
+      TenantSetup setup = MakeSetup(9);
+      fields[f](setup.sched) = value;
+      BinWriter out;
+      out.PutU64(setup.tenant_id);
+      PutTenantSetup(out, setup);
+      Frame frame;
+      size_t consumed = 0;
+      ASSERT_EQ(DecodeFrame(EncodeFrame(kMsgCreateTenant, out.str()), kDefaultMaxFrameBytes,
+                            &frame, &consumed),
+                FrameStatus::kOk);
+      BinReader in(frame.payload);
+      TenantSetup parsed;
+      parsed.tenant_id = in.GetU64();
+      EXPECT_FALSE(GetTenantSetup(in, &parsed)) << "field " << f << " = " << value;
+
+      std::string error;
+      EXPECT_EQ(TenantDomain::FromSnapshot(TenantDomain(setup).EncodeSnapshot(), &error), nullptr)
+          << "field " << f << " = " << value;
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -125,6 +126,10 @@ struct ChaosCase {
   const char* profile;
   uint64_t seed;
 };
+
+// Prints the case by name so --gtest_list_tests does not dump the struct's
+// pointer bytes, which change from run to run under ASLR.
+void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.profile << "_seed" << c.seed; }
 
 // Jobs and events CSV digests per case, recorded when a second, fixed-tick
 // engine still agreed with this one. Only an intentional behavior change may

@@ -10,10 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <ostream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,6 +127,12 @@ struct CheckpointCase {
   uint64_t seed;
 };
 
+// Prints the case's fields so --gtest_list_tests does not dump the struct's
+// pointer bytes, which change from run to run under ASLR.
+void PrintTo(const CheckpointCase& c, std::ostream* os) {
+  *os << c.policy << " " << c.faults << " seed " << c.seed;
+}
+
 class CheckpointResumeSweep : public ::testing::TestWithParam<CheckpointCase> {};
 
 TEST_P(CheckpointResumeSweep, ResumeIsByteIdenticalToUninterruptedRun) {
@@ -146,8 +157,7 @@ TEST_P(CheckpointResumeSweep, ResumeIsByteIdenticalToUninterruptedRun) {
   SimResult resumed;
   std::string policy;
   std::string error;
-  ASSERT_TRUE(ResumeBenchFromSnapshot(dir, BenchResumeOptions{}, &resumed, &policy, &error))
-      << error;
+  ASSERT_TRUE(ResumeBenchFromSnapshot(dir, BenchSimConfig{}, &resumed, &policy, &error)) << error;
   EXPECT_EQ(policy, c.policy);
   EXPECT_FALSE(resumed.halted);
   EXPECT_EQ(FormatResult(resumed), FormatResult(full));
@@ -295,8 +305,7 @@ TEST(CorruptSnapshotTest, TruncatedSnapshotFallsBackToPreviousOne) {
   SimResult resumed;
   std::string policy;
   std::string error;
-  ASSERT_TRUE(ResumeBenchFromSnapshot(fixture.dir, BenchResumeOptions{}, &resumed, &policy,
-                                      &error))
+  ASSERT_TRUE(ResumeBenchFromSnapshot(fixture.dir, BenchSimConfig{}, &resumed, &policy, &error))
       << error;
   EXPECT_GE(CorruptCount(), corrupt_before + 1);
   obs::MetricsRegistry::Global().SetEnabled(false);
@@ -317,16 +326,14 @@ TEST(CorruptSnapshotTest, FlippedCrcByteIsDetectedAndFallsBack) {
   SimResult resumed;
   std::string policy;
   std::string error;
-  EXPECT_FALSE(
-      ResumeBenchFromSnapshot(newest, BenchResumeOptions{}, &resumed, &policy, &error));
+  EXPECT_FALSE(ResumeBenchFromSnapshot(newest, BenchSimConfig{}, &resumed, &policy, &error));
   EXPECT_NE(error.find("CRC mismatch"), std::string::npos) << error;
 
   // Directory resume skips it and falls back to the previous snapshot.
   obs::MetricsRegistry::Global().SetEnabled(true);
   const uint64_t corrupt_before = CorruptCount();
   error.clear();
-  ASSERT_TRUE(ResumeBenchFromSnapshot(fixture.dir, BenchResumeOptions{}, &resumed, &policy,
-                                      &error))
+  ASSERT_TRUE(ResumeBenchFromSnapshot(fixture.dir, BenchSimConfig{}, &resumed, &policy, &error))
       << error;
   EXPECT_GE(CorruptCount(), corrupt_before + 1);
   obs::MetricsRegistry::Global().SetEnabled(false);
@@ -343,8 +350,7 @@ TEST(CorruptSnapshotTest, AllSnapshotsCorruptIsAClearError) {
   SimResult resumed;
   std::string policy;
   std::string error;
-  EXPECT_FALSE(
-      ResumeBenchFromSnapshot(fixture.dir, BenchResumeOptions{}, &resumed, &policy, &error));
+  EXPECT_FALSE(ResumeBenchFromSnapshot(fixture.dir, BenchSimConfig{}, &resumed, &policy, &error));
   EXPECT_NE(error.find("torn or corrupt"), std::string::npos) << error;
   std::filesystem::remove_all(fixture.dir);
 }
@@ -370,8 +376,7 @@ TEST(CorruptSnapshotTest, FutureFormatVersionIsRejectedWithClearError) {
   SimResult resumed;
   std::string policy;
   std::string error;
-  EXPECT_FALSE(
-      ResumeBenchFromSnapshot(newest, BenchResumeOptions{}, &resumed, &policy, &error));
+  EXPECT_FALSE(ResumeBenchFromSnapshot(newest, BenchSimConfig{}, &resumed, &policy, &error));
   EXPECT_NE(error.find("newer than supported"), std::string::npos) << error;
   std::filesystem::remove_all(fixture.dir);
 }
@@ -386,12 +391,11 @@ TEST(CorruptSnapshotTest, PreV4SimulatorSnapshotIsRejectedWithClearError) {
   SimResult resumed;
   std::string policy;
   std::string error;
-  EXPECT_FALSE(ResumeBenchFromSnapshot(fixture.snapshots.back(), BenchResumeOptions{}, &resumed,
+  EXPECT_FALSE(ResumeBenchFromSnapshot(fixture.snapshots.back(), BenchSimConfig{}, &resumed,
                                        &policy, &error));
   EXPECT_NE(error.find("version 3 predates"), std::string::npos) << error;
   error.clear();
-  EXPECT_FALSE(
-      ResumeBenchFromSnapshot(fixture.dir, BenchResumeOptions{}, &resumed, &policy, &error));
+  EXPECT_FALSE(ResumeBenchFromSnapshot(fixture.dir, BenchSimConfig{}, &resumed, &policy, &error));
   EXPECT_NE(error.find("cannot be resumed"), std::string::npos) << error;
 
   // Direct simulator loads refuse it too.
@@ -564,6 +568,128 @@ TEST(BenchConfigCodecTest, RejectsGarbageAndUnknownKeys) {
   EXPECT_FALSE(DecodeBenchSimConfig("future_knob=1\n", &decoded));
   EXPECT_FALSE(DecodeBenchSimConfig("no_equals_sign\n", &decoded));
   EXPECT_TRUE(DecodeBenchSimConfig("", &decoded));  // Empty config = defaults.
+}
+
+// A new BenchSimConfig, FaultOptions or NetOptions field changes one of these
+// sizes. Give the field a row in the config table in bench/common.cc (and a
+// line in the goldens below if it is encoded), then update the size.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(BenchSimConfig) == 504, "new BenchSimConfig field: add a config table row");
+static_assert(sizeof(FaultOptions) == 80, "new FaultOptions field: add a config table row");
+static_assert(sizeof(NetOptions) == 152, "new NetOptions field: add a config table row");
+#endif
+
+// Recorded from the driver that wrote every snapshot so far: a resumed run
+// depends on these bytes.
+constexpr char kFlatDefaultEncoding[] =
+    "nodes=16\ngpus_per_node=4\njobs=160\nduration_hours=8\nload=1\nuser_frac=0\n"
+    "interference=0\navoidance=1\nweight_lambda=0.5\nga_pop=40\nga_gens=25\nthreads=1\n"
+    "sched_interval=60\nreport_interval=30\nsched_mode=exact\nqueue_admission=0\n"
+    "restart_penalty=0.25\ntick=1\nobs_noise=0.050000000000000003\n"
+    "gns_noise=0.10000000000000001\nseed=1\nmtbf_node=0\nrepair_time=600\nstraggler_frac=0\n"
+    "straggler_slowdown=1.5\nreport_drop_rate=0\nrestart_fail_rate=0\n"
+    "restart_backoff_init=15\nrestart_backoff_cap=240\nmtbf_sched=0\nsched_recovery=warm\n"
+    "net_latency=0\nnet_jitter=0\nnet_loss=0\nnet_burst_rate=0\nnet_burst_duration=240\n"
+    "net_dup=0\nnet_reorder=0\nnet_reorder_extra=10\nnet_mtbf_partition=0\n"
+    "net_partition_duration=240\nnet_mtbf_rack_partition=0\nnet_rack_partition_duration=360\n"
+    "net_rack_size=4\nnet_retry_backoff_init=2\nnet_retry_backoff_cap=30\nnet_max_retries=6\n"
+    "net_lease_intervals=3\nnet_lease_grace=300\nnet_degraded_coverage=0.40000000000000002\n"
+    "net_naive_masking=0\ncheck_invariants=0\nsched_budget=0\n";
+
+TEST(BenchConfigCodecTest, EncodingMatchesRecordedGoldens) {
+  EXPECT_EQ(EncodeBenchSimConfig(BenchSimConfig{}), kFlatDefaultEncoding);
+
+  BenchSimConfig topology;
+  topology.racks = 2;
+  topology.nodes = 8;
+  topology.gpu_mix = "a100:0.25,t4:0.75";
+  topology.rack_link_factor = 3.0;
+  topology.sync_heavy_fraction = 0.5;
+  const std::string flat_tail = std::string(kFlatDefaultEncoding).substr(9);  // Drop nodes=16.
+  const std::string topology_keys =
+      "racks=2\nrack_link_factor=3\ngpu_mix=a100:0.25,t4:0.75\ntopology_blind=0\n"
+      "sync_heavy_fraction=0.5\n";
+  EXPECT_EQ(EncodeBenchSimConfig(topology), "nodes=8\n" + flat_tail + topology_keys);
+}
+
+TEST(BenchConfigCodecTest, RejectsValuesOutsideTheFlagBounds) {
+  for (const char* line :
+       {"nodes=-3", "nodes=0", "nodes=4294967297", "gpus_per_node=0", "tick=0", "tick=-1",
+        "ga_pop=0", "ga_pop=100001", "ga_gens=-1", "sched_interval=0", "report_interval=-30",
+        "load=nan", "weight_lambda=inf", "restart_penalty=-inf", "seed=-1", "avoidance=2",
+        "sched_mode=bogus", "sched_recovery=tepid", "gpu_mix=h100:1.0", "gpu_mix=t4:0.5",
+        "rack_link_factor=0.5", "sync_heavy_fraction=1.5", "net_loss=1.5"}) {
+    BenchSimConfig decoded;
+    EXPECT_FALSE(DecodeBenchSimConfig(std::string(line) + "\n", &decoded)) << line;
+  }
+}
+
+std::string FormatDouble17(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+// Canonical encoding of a random value of `key` inside `range`. Enum and
+// string keys draw from known-valid names; a numeric key is integral (int,
+// seed or bool) when it refuses a fractional value.
+std::string RandomValueText(const std::string& key, const KnobRange& range, std::mt19937_64& rng) {
+  static const std::map<std::string, std::vector<std::string>> kNames = {
+      {"sched_mode", {"exact", "incremental", "first-match"}},
+      {"sched_recovery", {"warm", "cold"}},
+      {"gpu_mix", {"", "t4:1", "a100:0.25,t4:0.75"}},
+  };
+  if (const auto it = kNames.find(key); it != kNames.end()) {
+    return it->second[rng() % it->second.size()];
+  }
+  if (std::isinf(range.lo) && std::isinf(range.hi)) {
+    ADD_FAILURE() << "no test values for unbounded key " << key;
+    return "";
+  }
+  const double lo = std::max(range.lo, -1e6);
+  const double hi = std::min(range.hi, 1e6);
+  BenchSimConfig probe;
+  if (!DecodeBenchSimConfig(key + "=" + FormatDouble17(lo + 0.5) + "\n", &probe)) {
+    std::uniform_int_distribution<int64_t> dist(static_cast<int64_t>(std::ceil(lo)),
+                                                static_cast<int64_t>(std::floor(hi)));
+    int64_t value = dist(rng);
+    while (!range.Contains(static_cast<double>(value))) {
+      value = dist(rng);
+    }
+    return std::to_string(value);
+  }
+  std::uniform_real_distribution<double> dist(lo, hi);
+  double value = dist(rng);
+  while (!range.Contains(value)) {
+    value = dist(rng);
+  }
+  return FormatDouble17(value);
+}
+
+TEST(BenchConfigCodecTest, RandomInBoundsValuesRoundTripForEveryKey) {
+  std::mt19937_64 rng(20211104);
+  const std::string flat = "\n" + EncodeBenchSimConfig(BenchSimConfig{});
+  const auto keys = BenchConfigKeyRanges();
+  ASSERT_EQ(keys.size(), 58u);
+  for (const auto& [key, range] : keys) {
+    // Keys missing from the flat encoding are topology keys, encoded only when
+    // a topology knob is engaged.
+    const bool topology = flat.find("\n" + key + "=") == std::string::npos;
+    std::string engage;
+    if (topology) {
+      engage = key == "topology_blind" ? "racks=1\n" : "topology_blind=1\n";
+    }
+    for (int trial = 0; trial < 25; ++trial) {
+      const std::string line = key + "=" + RandomValueText(key, range, rng) + "\n";
+      BenchSimConfig decoded;
+      ASSERT_TRUE(DecodeBenchSimConfig(engage + line, &decoded)) << line;
+      const std::string encoded = EncodeBenchSimConfig(decoded);
+      EXPECT_NE(("\n" + encoded).find("\n" + line), std::string::npos) << line;
+      BenchSimConfig again;
+      ASSERT_TRUE(DecodeBenchSimConfig(encoded, &again)) << line;
+      EXPECT_EQ(EncodeBenchSimConfig(again), encoded) << line;
+    }
+  }
 }
 
 }  // namespace

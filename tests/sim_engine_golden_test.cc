@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,6 +108,10 @@ std::string CaseName(const EquivalenceCase& c) {
   }
   return name + "_" + c.fault_profile + "_seed" + std::to_string(c.seed);
 }
+
+// Prints the case by name so --gtest_list_tests does not dump the struct's
+// pointer bytes, which change from run to run under ASLR.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << CaseName(c); }
 
 // (jobs CSV digest, events CSV digest) per case name.
 using Digests = std::pair<std::string, std::string>;

@@ -146,16 +146,16 @@ TEST(SimTopologyTest, HeterogeneousResumeMatchesUninterruptedRun) {
   SimResult resumed;
   std::string policy;
   std::string error;
-  ASSERT_TRUE(ResumeBenchFromSnapshot(dir, BenchResumeOptions{}, &resumed, &policy, &error))
-      << error;
+  ASSERT_TRUE(ResumeBenchFromSnapshot(dir, BenchSimConfig{}, &resumed, &policy, &error)) << error;
   EXPECT_EQ(policy, "pollux");
   EXPECT_EQ(FormatResult(resumed), FormatResult(full));
   std::filesystem::remove_all(dir);
 }
 
 // --------------------------------------------------------------------------
-// Cluster-shape flag validation: malformed shapes exit with kExitUsage (2)
-// from ConfigFromFlags, shared by pollux_simulate and every bench binary.
+// Config flag validation: malformed cluster shapes and out-of-bounds knob
+// values exit with kExitUsage (2) from ConfigFromFlags, shared by
+// pollux_simulate and every bench binary.
 // --------------------------------------------------------------------------
 
 void ParseAndBuildConfig(const char* flag) {
@@ -177,7 +177,9 @@ TEST(SimTopologyFlagDeathTest, MalformedClusterShapesExitWithUsageCode) {
   for (const char* flag :
        {"--nodes=0", "--nodes=-4", "--gpus_per_node=0", "--gpus_per_node=-1",
         "--topology=bogus", "--topology=0x4", "--gpu-mix=h100:1.0", "--gpu-mix=t4:0.5",
-        "--rack-link-factor=0.5", "--sync-heavy=1.5"}) {
+        "--rack-link-factor=0.5", "--sync-heavy=1.5", "--ga_pop=0", "--ga_gens=-1", "--tick=0",
+        "--tick=-1", "--nodes=4294967297", "--load=nan", "--sched-mode=bogus",
+        "--fault-profile=huge", "--net-profile=wan", "--sched-recovery=tepid"}) {
     EXPECT_EXIT(ParseAndBuildConfig(flag), ::testing::ExitedWithCode(kExitUsage), "") << flag;
   }
 }

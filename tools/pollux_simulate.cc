@@ -119,11 +119,7 @@ int Main(int argc, char** argv) {
     SimResult result;
     std::string policy;
     std::string error;
-    BenchResumeOptions resume;
-    resume.checkpoint_every = config.checkpoint_every;
-    resume.checkpoint_dir = config.checkpoint_dir;
-    resume.halt_after_checkpoint = config.halt_after_checkpoint;
-    if (!ResumeBenchFromSnapshot(flags.GetString("resume-from"), resume, &result, &policy,
+    if (!ResumeBenchFromSnapshot(flags.GetString("resume-from"), config, &result, &policy,
                                  &error)) {
       std::fprintf(stderr, "cannot resume from %s: %s\n", flags.GetString("resume-from").c_str(),
                    error.c_str());
