@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/eval_cache.h"
 #include "core/genetic.h"
 #include "core/gns.h"
 #include "core/goodput.h"
@@ -48,33 +47,21 @@ void BM_OptimizeBatchSize(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeBatchSize);
 
-// memo=1 measures the steady state PolluxSched sees on autoscaler utility
-// probes and unchanged-model rounds: the table is rebuilt for a model whose
-// fingerprint is already cached, so every golden-section search is replaced
-// by a hash probe.
+// One table build: a batch-size optimization per grid point and regime.
 void BM_SpeedupTableBuild(benchmark::State& state) {
   const GoodputModel model = TypicalModel();
   const BatchLimits limits = TypicalLimits();
   const int max_gpus = static_cast<int>(state.range(0));
-  const bool memo = state.range(1) != 0;
-  EvalCache cache;
   for (auto _ : state) {
-    SpeedupTable table(model, limits, max_gpus, memo ? &cache : nullptr,
-                       /*job_id=*/1, /*progress_bucket=*/0);
+    SpeedupTable table(model, limits, max_gpus);
     benchmark::DoNotOptimize(table);
   }
-  state.counters["hit_rate"] = cache.Stats().HitRate();
 }
-BENCHMARK(BM_SpeedupTableBuild)
-    ->ArgNames({"gpus", "memo"})
-    ->Args({8, 0})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_SpeedupTableBuild)->ArgName("gpus")->Arg(8)->Arg(64);
 
-// One GA scheduling round, parameterized over job count, worker threads, and
-// the speedup memoization cache. threads > 1 exercises the ThreadPool path
-// (same allocations, see core_genetic_determinism_test); hit_rate reports
-// how much of the speedup evaluation the cache absorbed.
+// One GA scheduling round, parameterized over job count and worker threads.
+// threads > 1 exercises the ThreadPool path (same allocations, see
+// core_genetic_determinism_test).
 void BM_GeneticRound(benchmark::State& state) {
   const int num_jobs = static_cast<int>(state.range(0));
   std::vector<SchedJobInfo> jobs;
@@ -89,21 +76,18 @@ void BM_GeneticRound(benchmark::State& state) {
   options.population_size = 40;
   options.generations = 1;  // Cost per generation.
   options.threads = static_cast<int>(state.range(1));
-  options.memoize = state.range(2) != 0;
   GeneticOptimizer ga(ClusterSpec::Homogeneous(16, 4), options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ga.Optimize(jobs));
   }
-  state.counters["hit_rate"] = ga.cache_stats().HitRate();
 }
 BENCHMARK(BM_GeneticRound)
-    ->ArgNames({"jobs", "threads", "memo"})
-    ->Args({10, 1, 1})
-    ->Args({40, 1, 1})
-    ->Args({160, 1, 0})
-    ->Args({160, 1, 1})
-    ->Args({160, 2, 1})
-    ->Args({160, 4, 1})
+    ->ArgNames({"jobs", "threads"})
+    ->Args({10, 1})
+    ->Args({40, 1})
+    ->Args({160, 1})
+    ->Args({160, 2})
+    ->Args({160, 4})
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 

@@ -14,71 +14,28 @@ double JobWeight(double gpu_time, double threshold, double lambda) {
 
 namespace {
 
-// Raw SPEEDUP_j(K, N), memoized when a cache is supplied. N enters the key
-// clamped to {1, 2}: SpeedupTable only distinguishes single-node from
-// multi-node, so all N >= 2 shapes share one entry. Unallocated rows (the
-// majority when jobs outnumber GPUs) are answered without touching the cache.
-double RawSpeedup(const SchedJobInfo& job, const Placement& placement, EvalCache* cache) {
-  if (placement.num_gpus <= 0) {
-    return 0.0;
-  }
-  if (cache == nullptr) {
-    return job.speedups.At(placement.num_gpus, placement.num_nodes);
-  }
-  EvalCache::Key key;
-  key.job_id = job.job_id;
-  key.replicas = static_cast<uint32_t>(placement.num_gpus);
-  key.nodes = static_cast<uint16_t>(placement.num_nodes >= 2 ? 2 : 1);
-  key.progress_bucket = job.progress_bucket;
-  return cache
-      ->GetOrCompute(key,
-                     [&] {
-                       return EvalCache::Value{
-                           job.speedups.At(placement.num_gpus, placement.num_nodes), 0};
-                     })
-      .value;
-}
-
-// Topology path: raw SPEEDUP_j(K, regime) memoized under the (K, N, R)
-// regime (1 = co-located, 2 = cross-node, 3 = cross-rack), then scaled by the
-// slowest GPU generation in the row. Synchronous data parallelism paces every
-// replica at the slowest one, so the scale is a min, not a mean.
+// Topology path: raw SPEEDUP_j(K, regime) under the (K, N, R) regime, scaled
+// by the slowest GPU generation in the row. Synchronous data parallelism
+// paces every replica at the slowest one, so the scale is a min, not a mean.
 double RawRackSpeedup(const SchedJobInfo& job, const AllocationMatrix& matrix, size_t row,
-                      const ClusterSpec& cluster, EvalCache* cache) {
+                      const ClusterSpec& cluster) {
   const RackPlacement placement = matrix.JobRackPlacement(row, cluster);
   if (placement.num_gpus <= 0) {
     return 0.0;
   }
-  double raw;
-  if (cache == nullptr) {
-    raw = job.speedups.At(placement);
-  } else {
-    EvalCache::Key key;
-    key.job_id = job.job_id;
-    key.replicas = static_cast<uint32_t>(placement.num_gpus);
-    key.nodes = static_cast<uint16_t>(
-        placement.num_racks >= 2 && job.speedups.has_rack_regime() ? 3
-        : placement.num_nodes >= 2                                 ? 2
-                                                                   : 1);
-    key.progress_bucket = job.progress_bucket;
-    raw = cache
-              ->GetOrCompute(key,
-                             [&] { return EvalCache::Value{job.speedups.At(placement), 0}; })
-              .value;
-  }
-  return raw * matrix.JobMinGpuScale(row, cluster);
+  return job.speedups.At(placement) * matrix.JobMinGpuScale(row, cluster);
 }
 
 }  // namespace
 
 double PenalizedSpeedup(const SchedJobInfo& job, const AllocationMatrix& matrix, size_t row,
-                        double restart_penalty, EvalCache* cache, const ClusterSpec* cluster) {
+                        double restart_penalty, const ClusterSpec* cluster) {
   double speedup;
   if (cluster != nullptr && cluster->HasTopology()) {
-    speedup = RawRackSpeedup(job, matrix, row, *cluster, cache);
+    speedup = RawRackSpeedup(job, matrix, row, *cluster);
   } else {
     const Placement placement = matrix.JobPlacement(row);
-    speedup = RawSpeedup(job, placement, cache);
+    speedup = job.speedups.At(placement.num_gpus, placement.num_nodes);
   }
   if (!job.current_allocation.empty()) {
     bool changed = false;
@@ -98,12 +55,12 @@ double PenalizedSpeedup(const SchedJobInfo& job, const AllocationMatrix& matrix,
 }
 
 double Fitness(const std::vector<SchedJobInfo>& jobs, const AllocationMatrix& matrix,
-               double restart_penalty, EvalCache* cache, const ClusterSpec* cluster) {
+               double restart_penalty, const ClusterSpec* cluster) {
   double weighted = 0.0;
   double total_weight = 0.0;
   for (size_t j = 0; j < jobs.size(); ++j) {
     weighted +=
-        jobs[j].weight * PenalizedSpeedup(jobs[j], matrix, j, restart_penalty, cache, cluster);
+        jobs[j].weight * PenalizedSpeedup(jobs[j], matrix, j, restart_penalty, cluster);
     total_weight += jobs[j].weight;
   }
   return total_weight > 0.0 ? weighted / total_weight : 0.0;

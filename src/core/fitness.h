@@ -9,10 +9,10 @@
 #ifndef POLLUX_CORE_FITNESS_H_
 #define POLLUX_CORE_FITNESS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/allocation.h"
-#include "core/eval_cache.h"
 #include "core/speedup_table.h"
 
 namespace pollux {
@@ -32,30 +32,22 @@ struct SchedJobInfo {
   // Lifetime exploration cap: at most twice the most GPUs the job has ever
   // held (Sec. 4.1 "prior-driven exploration").
   int max_gpus_cap = 1;
-  // Coarse quantization of training progress (set from GPU-time by
-  // PolluxSched); part of the EvalCache key so entries computed from an
-  // earlier model revision of the same job cannot be returned.
-  uint16_t progress_bucket = 0;
 };
 
-// Penalized speedup of one row of the allocation matrix. When `cache` is
-// non-null the raw SPEEDUP_j(K, N) lookup is memoized through it (the restart
-// penalty depends on the full row, so it is always applied outside the
-// cache); results are bit-identical with and without a cache.
+// Penalized speedup of one row of the allocation matrix: the raw
+// SPEEDUP_j(K, N) table lookup, minus the restart penalty when the row
+// differs from the job's current allocation.
 //
 // When `cluster` carries topology annotations, the placement summary becomes
-// (K, N, R): cross-rack rows read the SpeedupTable's rack regime (cache key
-// nodes == 3), and the result is scaled by the slowest GPU generation the row
-// touches (outside the cache — the scale depends on the exact node set, not
-// the (K, N, R) summary). Flat clusters take the legacy path unchanged.
+// (K, N, R): cross-rack rows read the SpeedupTable's rack regime, and the
+// result is scaled by the slowest GPU generation the row touches. Flat
+// clusters take the legacy path unchanged.
 double PenalizedSpeedup(const SchedJobInfo& job, const AllocationMatrix& matrix, size_t row,
-                        double restart_penalty, EvalCache* cache = nullptr,
-                        const ClusterSpec* cluster = nullptr);
+                        double restart_penalty, const ClusterSpec* cluster = nullptr);
 
 // Eqn. 14 over all jobs.
 double Fitness(const std::vector<SchedJobInfo>& jobs, const AllocationMatrix& matrix,
-               double restart_penalty, EvalCache* cache = nullptr,
-               const ClusterSpec* cluster = nullptr);
+               double restart_penalty, const ClusterSpec* cluster = nullptr);
 
 // Eqn. 17: cluster resource utility sum_j SPEEDUP_j / TOTAL_GPUS (no restart
 // penalty, no weights) — the autoscaling signal.

@@ -415,15 +415,11 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
   }
 
   EnsurePool();
-  // Speedup tables are rebuilt from re-fitted models every round, so entries
-  // must not survive into this one.
-  cache_.Clear();
-  EvalCache* cache = options_.memoize ? &cache_ : nullptr;
 
   SeedPopulation(jobs);
   std::vector<double> fitnesses(population_.size());
   pool_->ParallelFor(0, population_.size(), [&](size_t i) {
-    fitnesses[i] = Fitness(jobs, population_[i], options_.restart_penalty, cache, &cluster_);
+    fitnesses[i] = Fitness(jobs, population_[i], options_.restart_penalty, &cluster_);
   });
   if (observed) {
     GaMetrics::Get().fitness_evals->Add(population_.size());
@@ -450,7 +446,7 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
       AllocationMatrix child = CrossoverWith(population_[pa], population_[pb], rng);
       MutateWith(child, rng);
       RepairWith(child, jobs, rng);
-      child_fitnesses[i] = Fitness(jobs, child, options_.restart_penalty, cache, &cluster_);
+      child_fitnesses[i] = Fitness(jobs, child, options_.restart_penalty, &cluster_);
       children[i] = std::move(child);
     });
     for (size_t i = 0; i < brood; ++i) {

@@ -9,9 +9,8 @@
 // evaluated in parallel on a ThreadPool. Every offspring draws from its own
 // Rng stream, forked from the master generator in a fixed order before the
 // parallel region, which makes results bit-identical for any worker count
-// (asserted by core_genetic_determinism_test). Fitness evaluation memoizes
-// raw SPEEDUP_j(K, N) lookups through a sharded EvalCache that is cleared at
-// the start of every round (speedup tables are rebuilt per round).
+// (asserted by core_genetic_determinism_test). Fitness evaluation reads each
+// job's per-round SpeedupTable directly and touches no shared mutable state.
 
 #ifndef POLLUX_CORE_GENETIC_H_
 #define POLLUX_CORE_GENETIC_H_
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "core/allocation.h"
-#include "core/eval_cache.h"
 #include "core/fitness.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -40,8 +38,6 @@ struct GaOptions {
   // single-threaded; 0 or negative means std::thread::hardware_concurrency().
   // The returned allocations are identical for every value.
   int threads = 1;
-  // Memoize SPEEDUP_j(K, N) lookups per round (never changes results).
-  bool memoize = true;
 };
 
 class GeneticOptimizer {
@@ -65,13 +61,9 @@ class GeneticOptimizer {
 
   const ClusterSpec& cluster() const { return cluster_; }
 
-  // Cumulative speedup-memoization counters across all Optimize() calls.
-  EvalCacheStats cache_stats() const { return cache_.Stats(); }
-
   // Search state for checkpoint/restore: the master Rng cursor plus the
   // persisted population and the job ids it was bred for. Restore after any
-  // SetCluster call (SetCluster clears the population). The memo cache is
-  // deliberately excluded — results are bit-identical with or without it.
+  // SetCluster call (SetCluster clears the population).
   struct State {
     Rng::State rng;
     std::vector<uint64_t> last_job_ids;
@@ -132,7 +124,6 @@ class GeneticOptimizer {
   GaOptions options_;
   Rng rng_;
   std::unique_ptr<ThreadPool> pool_;
-  EvalCache cache_;
   std::vector<uint64_t> last_job_ids_;
   std::vector<AllocationMatrix> population_;
 };

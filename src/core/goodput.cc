@@ -1,27 +1,9 @@
 #include "core/goodput.h"
 
-#include <bit>
-#include <cstdint>
-
 #include "core/efficiency.h"
 #include "optim/golden_section.h"
 
 namespace pollux {
-namespace {
-
-// FNV-style accumulate-and-mix; order-dependent so permuted parameter values
-// produce different fingerprints.
-uint64_t MixIn(uint64_t state, uint64_t word) {
-  state ^= word + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
-  state *= 0x100000001b3ULL;
-  return state;
-}
-
-uint64_t MixIn(uint64_t state, double value) {
-  return MixIn(state, std::bit_cast<uint64_t>(value));
-}
-
-}  // namespace
 
 double GoodputModel::ThroughputAt(const Placement& placement, double batch_size) const {
   return ModelThroughput(params_, placement, batch_size);
@@ -65,32 +47,6 @@ double Speedup(const GoodputModel& model, const Placement& placement, const Batc
     return 1.0;
   }
   return numerator.goodput / denominator.goodput;
-}
-
-uint64_t ModelFingerprint(const GoodputModel& model, const BatchLimits& limits) {
-  const ThroughputParams& p = model.params();
-  uint64_t fp = 0xcbf29ce484222325ULL;  // FNV offset basis.
-  fp = MixIn(fp, p.alpha_grad);
-  fp = MixIn(fp, p.beta_grad);
-  fp = MixIn(fp, p.alpha_sync_local);
-  fp = MixIn(fp, p.beta_sync_local);
-  fp = MixIn(fp, p.alpha_sync_node);
-  fp = MixIn(fp, p.beta_sync_node);
-  fp = MixIn(fp, p.gamma);
-  fp = MixIn(fp, model.phi());
-  fp = MixIn(fp, static_cast<uint64_t>(model.base_batch_size()));
-  fp = MixIn(fp, static_cast<uint64_t>(limits.min_batch));
-  fp = MixIn(fp, static_cast<uint64_t>(limits.max_batch_total));
-  fp = MixIn(fp, static_cast<uint64_t>(limits.max_batch_per_gpu));
-  // 0 is reserved for "no model" keys (table-lookup entries).
-  return fp != 0 ? fp : 1;
-}
-
-uint64_t ModelFingerprint(const GoodputModel& model, const BatchLimits& limits,
-                          double rack_link_factor) {
-  uint64_t fp = ModelFingerprint(model, limits);
-  fp = MixIn(fp, rack_link_factor);
-  return fp != 0 ? fp : 1;
 }
 
 }  // namespace pollux

@@ -53,21 +53,6 @@ class GoodputModel {
 // and SPEEDUP of an empty placement is 0.
 double Speedup(const GoodputModel& model, const Placement& placement, const BatchLimits& limits);
 
-// Order-dependent 64-bit hash over the exact bit patterns of
-// (theta_sys, phi_t, m0, limits). Two equal fingerprints identify (up to hash
-// collision, ~2^-64 per pair) the same goodput function, so memoized
-// OptimizeBatchSize results keyed by the fingerprint survive across
-// scheduling rounds and autoscaler probes without ever serving values from a
-// stale model revision (EvalCache::Key::model_fp).
-uint64_t ModelFingerprint(const GoodputModel& model, const BatchLimits& limits);
-
-// Topology-extended fingerprint: additionally mixes in the cross-rack link
-// factor, so rack-regime table entries (EvalCache::Key::nodes == 3) never
-// alias node-regime entries of the same model under a different topology.
-// Flat-mode callers use the two-argument overload, whose hashes are unchanged.
-uint64_t ModelFingerprint(const GoodputModel& model, const BatchLimits& limits,
-                          double rack_link_factor);
-
 }  // namespace pollux
 
 #endif  // POLLUX_CORE_GOODPUT_H_

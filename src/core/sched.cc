@@ -24,12 +24,6 @@ struct SchedMetrics {
   obs::Histogram* round_time_s;
   obs::Gauge* last_utility;
   obs::Gauge* last_fitness;
-  obs::Gauge* table_cache_hits;
-  obs::Gauge* table_cache_misses;
-  obs::Gauge* table_cache_hit_rate;
-  obs::Gauge* eval_cache_hits;
-  obs::Gauge* eval_cache_misses;
-  obs::Gauge* eval_cache_hit_rate;
 
   static const SchedMetrics& Get() {
     static const SchedMetrics metrics;
@@ -51,19 +45,12 @@ struct SchedMetrics {
     round_time_s = registry.GetHistogram("sched.round_time_s");
     last_utility = registry.GetGauge("sched.last_utility");
     last_fitness = registry.GetGauge("sched.last_fitness");
-    table_cache_hits = registry.GetGauge("sched.table_cache.hits");
-    table_cache_misses = registry.GetGauge("sched.table_cache.misses");
-    table_cache_hit_rate = registry.GetGauge("sched.table_cache.hit_rate");
-    eval_cache_hits = registry.GetGauge("sched.eval_cache.hits");
-    eval_cache_misses = registry.GetGauge("sched.eval_cache.misses");
-    eval_cache_hit_rate = registry.GetGauge("sched.eval_cache.hit_rate");
   }
 };
 
 // Coarse log2 quantization of attained GPU-time (minutes doubling per
-// bucket). Only used to key the speedup memoization cache: two reports of
-// the same job in different buckets never share cache entries, so values
-// computed from an earlier model revision cannot leak forward.
+// bucket). Incremental mode re-optimizes a job whose bucket moved since its
+// last optimization, even when its fitted model did not drift.
 uint16_t ProgressBucket(double gpu_time) {
   if (gpu_time <= 0.0) {
     return 0;
@@ -131,13 +118,10 @@ std::vector<SchedJobInfo> PolluxSched::BuildJobInfos(const std::vector<SchedJobR
     // The exploration cap bounds how many GPUs this job can receive, so the
     // speedup table never needs entries beyond it.
     const int table_gpus = std::min(max_gpus, std::max(1, report.agent.max_gpus_cap));
-    info.progress_bucket = ProgressBucket(report.gpu_time);
     // The cluster's cross-rack link factor adds a third table regime; flat
     // clusters carry 1.0, which builds exactly the legacy two-regime table.
-    info.speedups =
-        SpeedupTable(report.agent.model, report.agent.limits, table_gpus,
-                     config_.memoize_tables ? &table_cache_ : nullptr, info.job_id,
-                     info.progress_bucket, optimizer_.cluster().rack_link_factor);
+    info.speedups = SpeedupTable(report.agent.model, report.agent.limits, table_gpus,
+                                 optimizer_.cluster().rack_link_factor);
     info.weight = JobWeight(report.gpu_time, config_.gpu_time_threshold, config_.weight_lambda);
     info.current_allocation = report.current_allocation;
     info.max_gpus_cap = std::max(1, report.agent.max_gpus_cap);
@@ -250,14 +234,6 @@ std::map<uint64_t, std::vector<int>> PolluxSched::Schedule(
     metrics.round_time_s->Record(elapsed);
     metrics.last_utility->Set(last_utility_);
     metrics.last_fitness->Set(last_fitness_);
-    const EvalCacheStats tables = table_cache_.Stats();
-    metrics.table_cache_hits->Set(static_cast<double>(tables.hits));
-    metrics.table_cache_misses->Set(static_cast<double>(tables.misses));
-    metrics.table_cache_hit_rate->Set(tables.HitRate());
-    const EvalCacheStats evals = optimizer_.cache_stats();
-    metrics.eval_cache_hits->Set(static_cast<double>(evals.hits));
-    metrics.eval_cache_misses->Set(static_cast<double>(evals.misses));
-    metrics.eval_cache_hit_rate->Set(evals.HitRate());
   }
   return allocations;
 }

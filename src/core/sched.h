@@ -18,7 +18,6 @@
 
 #include "core/agent.h"
 #include "core/allocation.h"
-#include "core/eval_cache.h"
 #include "core/genetic.h"
 #include "util/thread_pool.h"
 
@@ -53,10 +52,6 @@ struct SchedConfig {
   double gpu_time_threshold = 4.0 * 3600.0;
   // Weight decay exponent lambda (paper default 0.5; 0 disables weighting).
   double weight_lambda = 0.5;
-  // Memoize speedup-table construction across rounds and utility probes,
-  // keyed by each job's exact model fingerprint (see core/eval_cache.h).
-  // Results are bit-identical either way; false forces recomputation.
-  bool memoize_tables = true;
   // Wall-clock budget for one scheduling round, seconds (0 = unlimited).
   // A round that overruns it — or that somehow produced an allocation that
   // is infeasible against the (possibly degraded) cluster — is discarded in
@@ -190,9 +185,6 @@ class PolluxSched {
   const ClusterSpec& cluster() const { return optimizer_.cluster(); }
   const SchedConfig& config() const { return config_; }
 
-  // Hit/miss counters of the speedup-table construction cache.
-  EvalCacheStats table_cache_stats() const { return table_cache_.Stats(); }
-
   // Incremental-mode bookkeeping for one job: the telemetry snapshot taken
   // at its last re-optimization. The dirtiness predicate (DESIGN.md §13)
   // compares the current report against this snapshot.
@@ -208,8 +200,7 @@ class PolluxSched {
   };
 
   // Scheduler state for checkpoint/restore: the GA search state plus the
-  // last-round diagnostics and the cumulative fallback counter. The table
-  // cache is excluded (memoization never changes results).
+  // last-round diagnostics and the cumulative fallback counter.
   struct State {
     GeneticOptimizer::State ga;
     double last_utility = 0.0;
@@ -322,11 +313,6 @@ class PolluxSched {
 
   SchedConfig config_;
   GeneticOptimizer optimizer_;
-  // Memoized OptimizeBatchSize results for table construction; keys carry
-  // the model fingerprint, so entries from superseded fits are simply never
-  // hit again (and eventually evicted by the shard capacity bound). Mutable:
-  // the const utility probes (EvaluateUtilityAt) are its main beneficiary.
-  mutable EvalCache table_cache_;
   double last_utility_ = 0.0;
   double last_fitness_ = 0.0;
   uint64_t fallback_rounds_ = 0;

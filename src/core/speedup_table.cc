@@ -5,11 +5,6 @@
 namespace pollux {
 
 SpeedupTable::SpeedupTable(const GoodputModel& model, const BatchLimits& limits, int max_gpus,
-                           EvalCache* cache, uint64_t job_id, uint16_t progress_bucket)
-    : SpeedupTable(model, limits, max_gpus, cache, job_id, progress_bucket, 1.0) {}
-
-SpeedupTable::SpeedupTable(const GoodputModel& model, const BatchLimits& limits, int max_gpus,
-                           EvalCache* cache, uint64_t job_id, uint16_t progress_bucket,
                            double rack_link_factor) {
   if (max_gpus < 1) {
     return;
@@ -24,46 +19,20 @@ SpeedupTable::SpeedupTable(const GoodputModel& model, const BatchLimits& limits,
     grid_.push_back(max_gpus);
   }
 
-  // The batch-size optimization at one grid point depends only on the model,
-  // the limits, and (K, N) — not on the grid or max_gpus — so memoized
-  // results keyed by the model fingerprint are valid for any table size.
-  EvalCache::Key key;
-  if (cache != nullptr) {
-    key.job_id = job_id;
-    key.model_fp = ModelFingerprint(model, limits);
-    key.progress_bucket = progress_bucket;
-  }
-  const auto optimize = [&](const GoodputModel& m, uint64_t fp, int k,
-                            int n) -> GoodputModel::BatchChoice {
-    if (cache == nullptr) {
-      return m.OptimizeBatchSize(Placement{k, n > 2 ? 2 : n}, limits);
-    }
-    key.model_fp = fp;
-    key.replicas = static_cast<uint32_t>(k);
-    key.nodes = static_cast<uint16_t>(n);
-    const EvalCache::Value cached = cache->GetOrCompute(key, [&] {
-      const auto choice = m.OptimizeBatchSize(Placement{k, n > 2 ? 2 : n}, limits);
-      return EvalCache::Value{choice.goodput, choice.batch_size};
-    });
-    GoodputModel::BatchChoice choice;
-    choice.goodput = cached.value;
-    choice.batch_size = cached.aux;
-    return choice;
-  };
-
-  const uint64_t base_fp = cache != nullptr ? ModelFingerprint(model, limits) : 0;
-  const auto reference = optimize(model, base_fp, 1, 1);
+  const auto reference = model.OptimizeBatchSize(Placement{1, 1}, limits);
   const double denom = reference.goodput;
   single_node_.resize(grid_.size());
   multi_node_.resize(grid_.size());
+  // N == 2 stands for any multi-node placement (Eqn. 10 only distinguishes
+  // N == 1 from N >= 2).
   for (size_t i = 0; i < grid_.size(); ++i) {
     const int k = grid_[i];
-    const auto single = optimize(model, base_fp, k, 1);
+    const auto single = model.OptimizeBatchSize(Placement{k, 1}, limits);
     // Degenerate reference goodput (no single-GPU data yet) falls back to a
     // neutral speedup of 1 so the job can still be scheduled (see Speedup()).
     single_node_[i] = {denom > 0.0 ? single.goodput / denom : 1.0, single.batch_size};
     if (k >= 2) {
-      const auto multi = optimize(model, base_fp, k, 2);
+      const auto multi = model.OptimizeBatchSize(Placement{k, 2}, limits);
       multi_node_[i] = {denom > 0.0 ? multi.goodput / denom : 1.0, multi.batch_size};
     } else {
       multi_node_[i] = single_node_[i];
@@ -77,13 +46,11 @@ SpeedupTable::SpeedupTable(const GoodputModel& model, const BatchLimits& limits,
     rack_params.alpha_sync_node *= rack_link_factor;
     rack_params.beta_sync_node *= rack_link_factor;
     const GoodputModel rack_model(rack_params, model.phi(), model.base_batch_size());
-    const uint64_t rack_fp =
-        cache != nullptr ? ModelFingerprint(model, limits, rack_link_factor) : 0;
     multi_rack_.resize(grid_.size());
     for (size_t i = 0; i < grid_.size(); ++i) {
       const int k = grid_[i];
       if (k >= 2) {
-        const auto rack = optimize(rack_model, rack_fp, k, 3);
+        const auto rack = rack_model.OptimizeBatchSize(Placement{k, 2}, limits);
         multi_rack_[i] = {denom > 0.0 ? rack.goodput / denom : 1.0, rack.batch_size};
       } else {
         multi_rack_[i] = single_node_[i];

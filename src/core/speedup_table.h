@@ -13,10 +13,8 @@
 #define POLLUX_CORE_SPEEDUP_TABLE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "core/eval_cache.h"
 #include "core/goodput.h"
 #include "core/rack_model.h"
 #include "core/types.h"
@@ -27,30 +25,15 @@ class SpeedupTable {
  public:
   SpeedupTable() = default;
 
-  // Precomputes speedups for K in [1, max_gpus]. The denominator is the
-  // optimal single-GPU goodput (so At(1, 1) == 1).
-  SpeedupTable(const GoodputModel& model, const BatchLimits& limits, int max_gpus)
-      : SpeedupTable(model, limits, max_gpus, nullptr, 0, 0) {}
-
-  // As above, but each grid point's OptimizeBatchSize result is memoized in
-  // `cache` (when non-null) under (job_id, ModelFingerprint(model, limits),
-  // K, regime, progress_bucket). Rebuilding a table for an unchanged model —
-  // every autoscaler utility probe after the first, and scheduling rounds
-  // where the agent's fit did not move — then skips the golden-section
-  // searches entirely. Cached values are the exact doubles the uncached
-  // constructor computes, so the resulting table is bit-identical.
+  // Precomputes speedups for K in [1, max_gpus], one OptimizeBatchSize per
+  // grid point and regime. The denominator is the optimal single-GPU goodput
+  // (so At(1, 1) == 1).
+  //
+  // When rack_link_factor > 1 a third, cross-rack regime is precomputed from
+  // the same model with alpha/beta_sync_node scaled by the factor (Sec. 3.2's
+  // rack-locality extension of Eqn. 10); the node regimes are unchanged.
   SpeedupTable(const GoodputModel& model, const BatchLimits& limits, int max_gpus,
-               EvalCache* cache, uint64_t job_id, uint16_t progress_bucket);
-
-  // Topology-aware variant: when rack_link_factor > 1 a third, cross-rack
-  // regime is precomputed from the same model with alpha/beta_sync_node
-  // scaled by the factor (Sec. 3.2's rack-locality extension of Eqn. 10).
-  // Its cache entries use EvalCache::Key::nodes == 3 and the topology-
-  // extended ModelFingerprint; node-regime entries are bit-identical to the
-  // flat constructor's.
-  SpeedupTable(const GoodputModel& model, const BatchLimits& limits, int max_gpus,
-               EvalCache* cache, uint64_t job_id, uint16_t progress_bucket,
-               double rack_link_factor);
+               double rack_link_factor = 1.0);
 
   // SPEEDUP at K GPUs spread over N nodes; K beyond max_gpus clamps, off-grid
   // K interpolates linearly. N only matters as {1, multi}.

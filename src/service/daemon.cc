@@ -615,7 +615,7 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
     }
     case kMsgSubmitJob: {
       AgentReport agent = GetAgentReport(in);
-      const double gpu_time = in.GetDouble();
+      const double gpu_time = in.GetFiniteDouble();
       if (!in.ok() || !in.AtEnd()) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
         SendError(request.conn, kErrMalformedPayload, "submit_job");

@@ -1,7 +1,6 @@
 #include "service/tenant.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <utility>
 
@@ -34,9 +33,9 @@ bool GetClusterSpec(BinReader& in, ClusterSpec* cluster) {
   }
   cluster->node_gpu_scale.resize(num_scales);
   for (uint64_t i = 0; i < num_scales && in.ok(); ++i) {
-    cluster->node_gpu_scale[i] = in.GetDouble();
+    cluster->node_gpu_scale[i] = in.GetFiniteDouble();
   }
-  cluster->rack_link_factor = in.GetDouble();
+  cluster->rack_link_factor = in.GetFiniteDouble();
   if (!in.ok()) return false;
   // Shape validation: a tenant must schedule a real cluster, annotations (when
   // present) must be per-node, and capacities must be non-negative.
@@ -73,10 +72,13 @@ void PutSchedConfig(BinWriter& out, const SchedConfig& config) {
   out.PutDouble(config.ga.restart_penalty);
   out.PutBool(config.ga.interference_avoidance);
   out.PutU64(config.ga.seed);
-  out.PutBool(config.ga.memoize);
+  // Reserved slot: the GA's removed memo-cache switch. Always written as
+  // true, the value older builds defaulted to, so CreateTenant frames and
+  // tenant snapshots stay byte-compatible with them.
+  out.PutBool(true);
   out.PutDouble(config.gpu_time_threshold);
   out.PutDouble(config.weight_lambda);
-  out.PutBool(config.memoize_tables);
+  out.PutBool(true);  // Reserved slot: the removed table-cache switch.
   out.PutDouble(config.round_time_budget);
   out.PutDouble(config.stale_report_age);
   out.PutDouble(config.report_interval);
@@ -95,29 +97,32 @@ bool GetSchedConfig(BinReader& in, SchedConfig* config) {
   config->ga.population_size = static_cast<int>(in.GetI64());
   config->ga.generations = static_cast<int>(in.GetI64());
   config->ga.tournament_size = static_cast<int>(in.GetI64());
-  config->ga.restart_penalty = in.GetDouble();
+  config->ga.restart_penalty = in.GetFiniteDouble();
   config->ga.interference_avoidance = in.GetBool();
   config->ga.seed = in.GetU64();
-  config->ga.memoize = in.GetBool();
+  // Reserved slot (see PutSchedConfig), read and discarded so CreateTenant
+  // frames and tenant snapshots written by older builds, and the
+  // v3-container restore path, keep decoding unchanged.
+  in.GetBool();
   // Shard workers already parallelize across tenants; each tenant's GA stays
   // serial so decisions never depend on the daemon's thread count.
   config->ga.threads = 1;
-  config->gpu_time_threshold = in.GetDouble();
-  config->weight_lambda = in.GetDouble();
-  config->memoize_tables = in.GetBool();
-  config->round_time_budget = in.GetDouble();
-  config->stale_report_age = in.GetDouble();
-  config->report_interval = in.GetDouble();
+  config->gpu_time_threshold = in.GetFiniteDouble();
+  config->weight_lambda = in.GetFiniteDouble();
+  in.GetBool();  // Reserved slot: the removed table-cache switch.
+  config->round_time_budget = in.GetFiniteDouble();
+  config->stale_report_age = in.GetFiniteDouble();
+  config->report_interval = in.GetFiniteDouble();
   config->lease_intervals = static_cast<int>(in.GetI64());
-  config->lease_grace = in.GetDouble();
-  config->degraded_coverage = in.GetDouble();
+  config->lease_grace = in.GetFiniteDouble();
+  config->degraded_coverage = in.GetFiniteDouble();
   config->naive_masking = in.GetBool();
   const std::string mode = in.GetString();
   if (!SchedModeByName(mode, &config->mode)) {
     in.MarkBad();
     return false;
   }
-  config->dirty_rel_change = in.GetDouble();
+  config->dirty_rel_change = in.GetFiniteDouble();
   config->shard_jobs = static_cast<int>(in.GetI64());
   config->refresh_rounds = static_cast<int>(in.GetI64());
   config->queue_admission = in.GetBool();
@@ -129,16 +134,6 @@ bool GetSchedConfig(BinReader& in, SchedConfig* config) {
       config->ga.tournament_size < 1) {
     in.MarkBad();
     return false;
-  }
-  // Nor smuggle NaN or infinity into the fitness, weight and lease arithmetic.
-  for (double value : {config->ga.restart_penalty, config->gpu_time_threshold,
-                       config->weight_lambda, config->round_time_budget, config->stale_report_age,
-                       config->report_interval, config->lease_grace, config->degraded_coverage,
-                       config->dirty_rel_change}) {
-    if (!std::isfinite(value)) {
-      in.MarkBad();
-      return false;
-    }
   }
   return true;
 }

@@ -179,6 +179,14 @@ double BinReader::GetDouble() {
   return value;
 }
 
+double BinReader::GetFiniteDouble() {
+  const double value = GetDouble();
+  if (!std::isfinite(value)) {
+    ok_ = false;
+  }
+  return value;
+}
+
 std::string BinReader::GetString() {
   const uint64_t size = GetU64();
   if (!ok_ || data_.size() - pos_ < size) {
@@ -262,14 +270,14 @@ AgentReport GetAgentReport(BinReader& in) {
   AgentReport report;
   report.job_id = in.GetU64();
   ThroughputParams p;
-  p.alpha_grad = in.GetDouble();
-  p.beta_grad = in.GetDouble();
-  p.alpha_sync_local = in.GetDouble();
-  p.beta_sync_local = in.GetDouble();
-  p.alpha_sync_node = in.GetDouble();
-  p.beta_sync_node = in.GetDouble();
-  p.gamma = in.GetDouble();
-  const double phi = in.GetDouble();
+  p.alpha_grad = in.GetFiniteDouble();
+  p.beta_grad = in.GetFiniteDouble();
+  p.alpha_sync_local = in.GetFiniteDouble();
+  p.beta_sync_local = in.GetFiniteDouble();
+  p.alpha_sync_node = in.GetFiniteDouble();
+  p.beta_sync_node = in.GetFiniteDouble();
+  p.gamma = in.GetFiniteDouble();
+  const double phi = in.GetFiniteDouble();
   const long base_batch = static_cast<long>(in.GetI64());
   report.model = GoodputModel(p, phi, base_batch);
   report.limits.min_batch = static_cast<long>(in.GetI64());
@@ -290,9 +298,9 @@ void PutSchedJobReport(BinWriter& out, const SchedJobReport& report) {
 SchedJobReport GetSchedJobReport(BinReader& in) {
   SchedJobReport report;
   report.agent = GetAgentReport(in);
-  report.gpu_time = in.GetDouble();
+  report.gpu_time = in.GetFiniteDouble();
   report.current_allocation = in.GetIntVec();
-  report.report_age = in.GetDouble();
+  report.report_age = in.GetFiniteDouble();
   report.seq = in.GetU64();
   return report;
 }

@@ -91,6 +91,9 @@ class BinReader {
   int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
   bool GetBool() { return GetU32() != 0; }
   double GetDouble();
+  // As GetDouble, but NaN or infinity sets the failure flag: for fields that
+  // feed model, weight or capacity arithmetic and must never be non-finite.
+  double GetFiniteDouble();
   std::string GetString();
   std::vector<int> GetIntVec();
 

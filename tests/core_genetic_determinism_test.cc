@@ -1,7 +1,6 @@
 // The scheduling contract of the parallel GA: the allocation matrix and
 // fitness PolluxSched computes must be BIT-identical regardless of how many
-// ThreadPool workers evaluated the population, and regardless of whether the
-// speedup memoization cache is enabled. (EXPECT_EQ on doubles is exact
+// ThreadPool workers evaluated the population. (EXPECT_EQ on doubles is exact
 // equality, i.e. bitwise for non-NaN values.)
 
 #include <gtest/gtest.h>
@@ -9,9 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/eval_cache.h"
 #include "core/genetic.h"
-#include "core/sched.h"
 #include "core/speedup_table.h"
 
 namespace pollux {
@@ -42,7 +39,6 @@ SchedJobInfo MakeJob(uint64_t id, int cap, double phi = 1000.0) {
   info.job_id = id;
   info.speedups = SpeedupTable(TypicalModel(phi), TypicalLimits(), 32);
   info.max_gpus_cap = cap;
-  info.progress_bucket = static_cast<uint16_t>(id % 5);
   return info;
 }
 
@@ -131,48 +127,6 @@ TEST(GeneticDeterminismTest, AutoThreadCountMatchesSerial) {
   EXPECT_EQ(a.fitness, b.fitness);
 }
 
-TEST(GeneticDeterminismTest, MemoizationDoesNotChangeResults) {
-  for (int threads : {1, 4}) {
-    for (int mix = 0; mix < 3; ++mix) {
-      const auto jobs = JobMix(mix);
-      GaOptions with_cache = BaseOptions(21);
-      with_cache.threads = threads;
-      with_cache.memoize = true;
-      GaOptions without_cache = with_cache;
-      without_cache.memoize = false;
-      GeneticOptimizer ga_cached(ClusterSpec::Homogeneous(8, 4), with_cache);
-      GeneticOptimizer ga_uncached(ClusterSpec::Homogeneous(8, 4), without_cache);
-      const auto cached = RunRounds(ga_cached, jobs, 2);
-      const auto uncached = RunRounds(ga_uncached, jobs, 2);
-      EXPECT_EQ(cached.best, uncached.best) << "threads " << threads << " mix " << mix;
-      EXPECT_EQ(cached.fitness, uncached.fitness) << "threads " << threads << " mix " << mix;
-    }
-  }
-}
-
-TEST(GeneticDeterminismTest, CacheAbsorbsRepeatEvaluations) {
-  const auto jobs = JobMix(2);
-  GaOptions options = BaseOptions(5);
-  GeneticOptimizer ga(ClusterSpec::Homogeneous(8, 4), options);
-  ga.Optimize(jobs);
-  const EvalCacheStats stats = ga.cache_stats();
-  // Every (job, K, N) shape misses once and hits on each of the hundreds of
-  // re-evaluations in the round.
-  EXPECT_GT(stats.hits, stats.misses);
-  EXPECT_GT(stats.entries, 0u);
-  EXPECT_GT(stats.HitRate(), 0.5);
-}
-
-TEST(GeneticDeterminismTest, DisabledCacheCountsNothing) {
-  const auto jobs = JobMix(0);
-  GaOptions options = BaseOptions(5);
-  options.memoize = false;
-  GeneticOptimizer ga(ClusterSpec::Homogeneous(8, 4), options);
-  ga.Optimize(jobs);
-  const EvalCacheStats stats = ga.cache_stats();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
-}
-
 TEST(GeneticDeterminismTest, RepeatedRunsOfSameOptimizerConfigAgree) {
   // Same seed + same thread count run twice from scratch: identical, i.e. the
   // pool introduces no hidden state across Optimize calls.
@@ -187,180 +141,6 @@ TEST(GeneticDeterminismTest, RepeatedRunsOfSameOptimizerConfigAgree) {
     EXPECT_EQ(a.best, b.best) << "threads " << threads;
     EXPECT_EQ(a.fitness, b.fitness) << "threads " << threads;
   }
-}
-
-TEST(EvalCacheTest, RoundTripsValuesAndAux) {
-  EvalCache cache;
-  EvalCache::Key key{.job_id = 9, .model_fp = 1234, .replicas = 8, .nodes = 2,
-                     .progress_bucket = 3};
-  EvalCache::Value value;
-  EXPECT_FALSE(cache.Lookup(key, &value));
-  cache.Insert(key, {2.5, 4096});
-  ASSERT_TRUE(cache.Lookup(key, &value));
-  EXPECT_EQ(value.value, 2.5);
-  EXPECT_EQ(value.aux, 4096);
-  // A key differing in any one field is a distinct entry.
-  EvalCache::Key other = key;
-  other.model_fp = 1235;
-  EXPECT_FALSE(cache.Lookup(other, &value));
-  const EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(EvalCacheTest, SurvivesShardGrowth) {
-  // Far beyond the initial slot count, forcing several rehashes per shard;
-  // every inserted key must remain retrievable with its exact value.
-  EvalCache cache;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    EvalCache::Key key{.job_id = static_cast<uint64_t>(i), .model_fp = 7,
-                       .replicas = static_cast<uint32_t>(i % 64), .nodes = 1,
-                       .progress_bucket = 0};
-    cache.Insert(key, {static_cast<double>(i) * 0.5, i});
-  }
-  for (int i = 0; i < n; ++i) {
-    EvalCache::Key key{.job_id = static_cast<uint64_t>(i), .model_fp = 7,
-                       .replicas = static_cast<uint32_t>(i % 64), .nodes = 1,
-                       .progress_bucket = 0};
-    EvalCache::Value value;
-    ASSERT_TRUE(cache.Lookup(key, &value)) << i;
-    EXPECT_EQ(value.value, static_cast<double>(i) * 0.5);
-    EXPECT_EQ(value.aux, i);
-  }
-  EXPECT_EQ(cache.Stats().entries, static_cast<uint64_t>(n));
-  cache.Clear();
-  EXPECT_EQ(cache.Stats().entries, 0u);
-}
-
-TEST(EvalCacheTest, CapacityBoundEvictsInsteadOfGrowing) {
-  EvalCache cache(/*max_entries_per_shard=*/32);
-  for (int i = 0; i < 100000; ++i) {
-    EvalCache::Key key{.job_id = static_cast<uint64_t>(i)};
-    cache.Insert(key, {1.0, 0});
-  }
-  // Entries never exceed the bound; inserts keep succeeding (latest key is
-  // always present right after insertion).
-  EXPECT_LE(cache.Stats().entries, 32u * EvalCache::kNumShards);
-  EvalCache::Key last{.job_id = 99999};
-  EvalCache::Value value;
-  EXPECT_TRUE(cache.Lookup(last, &value));
-}
-
-TEST(EvalCacheTest, CapacityBoundHoldsUnderConcurrentMixedLoad) {
-  // Several threads hammer one small-capacity cache with interleaved inserts
-  // and lookups over overlapping key ranges. The capacity bound must hold
-  // throughout (epoch eviction under contention), every hit must return the
-  // value its key was inserted with, and the stats counters must account for
-  // every probe. Run under TSan (tools/run_sanitized_tests.sh) this also
-  // exercises the shard locking for data races.
-  constexpr size_t kPerShard = 64;
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 20000;
-  EvalCache cache(kPerShard);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        // Overlapping ranges: ~half the keys are shared across threads.
-        const uint64_t id = static_cast<uint64_t>(i % 512 + (i % 2 == 0 ? 0 : t * 512));
-        EvalCache::Key key{.job_id = id, .model_fp = 77};
-        if (i % 3 == 0) {
-          // The value is a pure function of the key, as in real use — so a
-          // concurrent hit can never observe a "wrong" value.
-          cache.Insert(key, {static_cast<double>(id) * 0.5, static_cast<long>(id)});
-        } else {
-          EvalCache::Value value;
-          if (cache.Lookup(key, &value)) {
-            EXPECT_EQ(value.value, static_cast<double>(id) * 0.5);
-            EXPECT_EQ(value.aux, static_cast<long>(id));
-          }
-        }
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
-  const EvalCacheStats stats = cache.Stats();
-  EXPECT_LE(stats.entries, kPerShard * EvalCache::kNumShards);
-  // Every lookup was counted as a hit or a miss.
-  const uint64_t lookups =
-      static_cast<uint64_t>(kThreads) * (kOpsPerThread - (kOpsPerThread + 2) / 3);
-  EXPECT_EQ(stats.hits + stats.misses, lookups);
-  EXPECT_GT(stats.hits, 0u);
-}
-
-// Sched-level checks: the construction-time memoization (SchedConfig::
-// memoize_tables) must be invisible in every scheduling output.
-
-SchedJobReport MakeReport(uint64_t id, double phi, int cap, double gpu_time) {
-  SchedJobReport report;
-  report.agent.job_id = id;
-  report.agent.model = TypicalModel(phi);
-  report.agent.limits = TypicalLimits();
-  report.agent.max_gpus_cap = cap;
-  report.gpu_time = gpu_time;
-  return report;
-}
-
-TEST(SchedMemoizationTest, TableCacheDoesNotChangeSchedules) {
-  SchedConfig cached_config;
-  cached_config.ga.population_size = 16;
-  cached_config.ga.generations = 8;
-  cached_config.ga.seed = 3;
-  SchedConfig uncached_config = cached_config;
-  uncached_config.memoize_tables = false;
-  PolluxSched cached(ClusterSpec::Homogeneous(4, 4), cached_config);
-  PolluxSched uncached(ClusterSpec::Homogeneous(4, 4), uncached_config);
-
-  // Several rounds with evolving models/progress, as in a live simulation.
-  for (int round = 0; round < 3; ++round) {
-    std::vector<SchedJobReport> reports;
-    for (uint64_t id = 1; id <= 6; ++id) {
-      const double phi = 500.0 * static_cast<double>(id) + 10.0 * round;
-      reports.push_back(MakeReport(id, phi, 8, 3600.0 * round));
-    }
-    const auto a = cached.Schedule(reports);
-    const auto b = uncached.Schedule(reports);
-    EXPECT_EQ(a, b) << "round " << round;
-    EXPECT_EQ(cached.last_fitness(), uncached.last_fitness()) << "round " << round;
-    EXPECT_EQ(cached.last_utility(), uncached.last_utility()) << "round " << round;
-  }
-  EXPECT_GT(cached.table_cache_stats().entries, 0u);
-  EXPECT_EQ(uncached.table_cache_stats().hits + uncached.table_cache_stats().misses, 0u);
-}
-
-TEST(SchedMemoizationTest, UtilityProbesReuseTableEntries) {
-  SchedConfig config;
-  config.ga.population_size = 12;
-  config.ga.generations = 8;
-  config.ga.seed = 11;
-  PolluxSched sched(ClusterSpec::Homogeneous(4, 4), config);
-  std::vector<SchedJobReport> reports;
-  for (uint64_t id = 1; id <= 6; ++id) {
-    reports.push_back(MakeReport(id, 800.0 * static_cast<double>(id), 16, 0.0));
-  }
-
-  // First probe populates the cache; later probes at other cluster sizes
-  // rebuild every table from hits (same models, so same fingerprints).
-  const double u4 = sched.EvaluateUtilityAt(4, 4, reports);
-  const auto after_first = sched.table_cache_stats();
-  const double u8 = sched.EvaluateUtilityAt(8, 4, reports);
-  const auto after_second = sched.table_cache_stats();
-  EXPECT_GT(after_second.hits, after_first.hits);
-  // A bigger hypothetical cluster can only help utility-optimal allocation;
-  // mainly we care that both probes ran.
-  EXPECT_GE(u8, 0.0);
-  EXPECT_GE(u4, 0.0);
-
-  // Probing the same size twice is fully memoized (same value, all hits).
-  const auto before_repeat = sched.table_cache_stats();
-  const double u4_again = sched.EvaluateUtilityAt(4, 4, reports);
-  EXPECT_EQ(u4_again, u4);
-  EXPECT_EQ(sched.table_cache_stats().misses, before_repeat.misses);
 }
 
 }  // namespace

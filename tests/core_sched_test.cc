@@ -106,6 +106,9 @@ TEST(PolluxSchedTest, EvaluateUtilityDecreasesWithClusterSize) {
   const double small = sched.EvaluateUtilityAt(1, 4, reports);
   const double large = sched.EvaluateUtilityAt(8, 4, reports);
   EXPECT_GT(small, large);
+  // Probes are pure: repeating one after a probe at another size returns
+  // the identical value.
+  EXPECT_EQ(sched.EvaluateUtilityAt(1, 4, reports), small);
   EXPECT_DOUBLE_EQ(sched.EvaluateUtilityAt(0, 4, reports), 0.0);
   EXPECT_DOUBLE_EQ(sched.EvaluateUtilityAt(4, 4, {}), 0.0);
 }

@@ -185,7 +185,7 @@ GoodputModel MakeModel() {
 TEST(SpeedupTableRackRegimeTest, CrossRackNeverBeatsInRack) {
   const GoodputModel model = MakeModel();
   const BatchLimits limits{128, 32768, 1024};
-  const SpeedupTable table(model, limits, 32, nullptr, 0, 0, /*rack_link_factor=*/2.5);
+  const SpeedupTable table(model, limits, 32, /*rack_link_factor=*/2.5);
   ASSERT_TRUE(table.has_rack_regime());
   for (int k : {4, 8, 16, 32}) {
     const double co_located = table.At(RackPlacement{k, 1, 1});
@@ -203,7 +203,7 @@ TEST(SpeedupTableRackRegimeTest, FactorOneKeepsFlatTable) {
   const GoodputModel model = MakeModel();
   const BatchLimits limits{128, 32768, 1024};
   const SpeedupTable flat(model, limits, 16);
-  const SpeedupTable unity(model, limits, 16, nullptr, 0, 0, /*rack_link_factor=*/1.0);
+  const SpeedupTable unity(model, limits, 16, /*rack_link_factor=*/1.0);
   EXPECT_FALSE(flat.has_rack_regime());
   EXPECT_FALSE(unity.has_rack_regime());
   for (int k = 1; k <= 16; ++k) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <thread>
 #include <memory>
@@ -324,6 +325,43 @@ TEST(ScheddDaemonTest, MalformedPayloadsKeepTheConnection) {
     EXPECT_EQ(reply.type, static_cast<uint32_t>(kMsgError));
     EXPECT_EQ(RawErrCode(reply), static_cast<uint32_t>(kErrMalformedPayload));
   }
+  // CRC-valid frames whose job telemetry carries NaN or infinity: a typed
+  // error, and the tenant never sees the values.
+  ASSERT_TRUE(client.CreateTenant(MakeSetup(1), &error)) << error;
+  {
+    AgentReport agent = MakeAgent(1, std::numeric_limits<double>::quiet_NaN());
+    BinWriter out;
+    out.PutU64(1);
+    PutAgentReport(out, agent);
+    out.PutDouble(0.0);
+    reply = client.Call(kMsgSubmitJob, out.str());
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(RawErrCode(reply), static_cast<uint32_t>(kErrMalformedPayload));
+  }
+  for (double gpu_time : {std::numeric_limits<double>::quiet_NaN(),
+                          -std::numeric_limits<double>::infinity()}) {
+    BinWriter out;
+    out.PutU64(1);
+    PutAgentReport(out, MakeAgent(1));
+    out.PutDouble(gpu_time);
+    reply = client.Call(kMsgSubmitJob, out.str());
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(RawErrCode(reply), static_cast<uint32_t>(kErrMalformedPayload));
+  }
+  EXPECT_EQ(daemon.daemon->Stats().jobs, 0u);
+  ASSERT_TRUE(client.SubmitJob(1, MakeAgent(1), 0.0, &error)) << error;
+  {
+    SchedJobReport report = MakeReport(1, 1);
+    report.report_age = std::numeric_limits<double>::infinity();
+    BinWriter out;
+    out.PutU64(1);
+    out.PutU64(1);
+    PutSchedJobReport(out, report);
+    reply = client.Call(kMsgReport, out.str());
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(RawErrCode(reply), static_cast<uint32_t>(kErrMalformedPayload));
+  }
+
   // Unknown message type: typed error, connection survives.
   reply = client.Call(999, "");
   ASSERT_TRUE(reply.ok) << reply.error;
@@ -341,7 +379,7 @@ TEST(ScheddDaemonTest, MalformedPayloadsKeepTheConnection) {
   // Same connection, still healthy.
   EXPECT_TRUE(client.Ping(&error)) << error;
   const ScheddStats stats = daemon.daemon->Stats();
-  EXPECT_GE(stats.malformed, 2u);
+  EXPECT_GE(stats.malformed, 6u);
   EXPECT_EQ(stats.bad_frames, 0u);
 }
 

@@ -107,6 +107,45 @@ TEST(TenantSetupTest, CodecRoundTrip) {
   EXPECT_TRUE(parsed.sched.queue_admission);
 }
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+// PutTenantSetup bytes recorded from a build that still had the two scheduler
+// cache switches. CreateTenant frames and tenant snapshots depend on them;
+// the switches' slots are reserved and always carry true (01000000).
+constexpr char kTopologySetupGolden[] =
+    "0400000000000000040000000000000004000000000000000400000000000000"
+    "0400000000000000040000000000000000000000000000000000000000000000"
+    "0100000000000000010000000000000004000000000000000000000000000000"
+    "0000000000000000010000000000000001000000000000000400000000000000"
+    "000000000000f03f000000000000f03f000000000000e03f000000000000e03f"
+    "0000000000000040100000000000000008000000000000000300000000000000"
+    "000000000000d03f01000000070000000000000001000000000000000020cc40"
+    "000000000000e03f0100000000000000000000000000000000c0624000000000"
+    "00003e4003000000000000000000000000c07240000000000000000000000000"
+    "0b00000000000000696e6372656d656e74616c9a9999999999a93f1000000000"
+    "000000140000000000000001000000";
+
+TEST(TenantSetupTest, EncodingMatchesRecordedGolden) {
+  TenantSetup setup = MakeSetup(42, SchedMode::kIncremental);
+  setup.cluster.rack_of_node = {0, 0, 1, 1};
+  setup.cluster.gpu_type_of_node = {0, 0, 1, 1};
+  setup.cluster.node_gpu_scale = {1.0, 1.0, 0.5, 0.5};
+  setup.cluster.rack_link_factor = 2.0;
+  setup.sched.lease_intervals = 3;
+  setup.sched.queue_admission = true;
+  BinWriter out;
+  PutTenantSetup(out, setup);
+  EXPECT_EQ(Hex(out.str()), kTopologySetupGolden);
+}
+
 TEST(TenantSetupTest, RejectsMalformedShapes) {
   // Empty cluster.
   {
@@ -143,18 +182,24 @@ TEST(TenantSetupTest, RejectsMalformedShapes) {
 }
 
 // CRC-valid hostile fixtures: a CreateTenant frame and a tenant snapshot whose
-// framing is intact but whose scheduler config carries NaN or infinity.
+// framing is intact but whose cluster spec or scheduler config carries NaN or
+// infinity.
 TEST(TenantSetupTest, RejectsNonFiniteConfigDoubles) {
-  const std::vector<std::function<double&(SchedConfig&)>> fields = {
-      [](SchedConfig& c) -> double& { return c.ga.restart_penalty; },
-      [](SchedConfig& c) -> double& { return c.gpu_time_threshold; },
-      [](SchedConfig& c) -> double& { return c.weight_lambda; },
-      [](SchedConfig& c) -> double& { return c.round_time_budget; },
-      [](SchedConfig& c) -> double& { return c.stale_report_age; },
-      [](SchedConfig& c) -> double& { return c.report_interval; },
-      [](SchedConfig& c) -> double& { return c.lease_grace; },
-      [](SchedConfig& c) -> double& { return c.degraded_coverage; },
-      [](SchedConfig& c) -> double& { return c.dirty_rel_change; },
+  const std::vector<std::function<double&(TenantSetup&)>> fields = {
+      [](TenantSetup& s) -> double& {
+        s.cluster.node_gpu_scale.assign(s.cluster.gpus_per_node.size(), 1.0);
+        return s.cluster.node_gpu_scale[2];
+      },
+      [](TenantSetup& s) -> double& { return s.cluster.rack_link_factor; },
+      [](TenantSetup& s) -> double& { return s.sched.ga.restart_penalty; },
+      [](TenantSetup& s) -> double& { return s.sched.gpu_time_threshold; },
+      [](TenantSetup& s) -> double& { return s.sched.weight_lambda; },
+      [](TenantSetup& s) -> double& { return s.sched.round_time_budget; },
+      [](TenantSetup& s) -> double& { return s.sched.stale_report_age; },
+      [](TenantSetup& s) -> double& { return s.sched.report_interval; },
+      [](TenantSetup& s) -> double& { return s.sched.lease_grace; },
+      [](TenantSetup& s) -> double& { return s.sched.degraded_coverage; },
+      [](TenantSetup& s) -> double& { return s.sched.dirty_rel_change; },
   };
   const double hostile[] = {std::numeric_limits<double>::quiet_NaN(),
                             std::numeric_limits<double>::infinity(),
@@ -162,7 +207,7 @@ TEST(TenantSetupTest, RejectsNonFiniteConfigDoubles) {
   for (size_t f = 0; f < fields.size(); ++f) {
     for (double value : hostile) {
       TenantSetup setup = MakeSetup(9);
-      fields[f](setup.sched) = value;
+      fields[f](setup) = value;
       BinWriter out;
       out.PutU64(setup.tenant_id);
       PutTenantSetup(out, setup);
@@ -179,6 +224,75 @@ TEST(TenantSetupTest, RejectsNonFiniteConfigDoubles) {
       std::string error;
       EXPECT_EQ(TenantDomain::FromSnapshot(TenantDomain(setup).EncodeSnapshot(), &error), nullptr)
           << "field " << f << " = " << value;
+    }
+  }
+}
+
+// The same for job telemetry: a CRC-valid kMsgSubmitJob or kMsgReport frame,
+// or a tenant snapshot, whose report carries a non-finite theta_sys, phi,
+// GPU-time or report age is rejected at decode.
+TEST(TenantSetupTest, RejectsNonFiniteReportDoubles) {
+  std::vector<std::function<void(SchedJobReport&, double)>> fields;
+  for (double ThroughputParams::*member :
+       {&ThroughputParams::alpha_grad, &ThroughputParams::beta_grad,
+        &ThroughputParams::alpha_sync_local, &ThroughputParams::beta_sync_local,
+        &ThroughputParams::alpha_sync_node, &ThroughputParams::beta_sync_node,
+        &ThroughputParams::gamma}) {
+    fields.push_back([member](SchedJobReport& r, double v) {
+      ThroughputParams params = r.agent.model.params();
+      params.*member = v;
+      r.agent.model.set_params(params);
+    });
+  }
+  fields.push_back([](SchedJobReport& r, double v) { r.agent.model.set_phi(v); });
+  fields.push_back([](SchedJobReport& r, double v) { r.gpu_time = v; });
+  fields.push_back([](SchedJobReport& r, double v) { r.report_age = v; });
+  constexpr size_t kAgentFields = 8;  // theta_sys and phi travel in the AgentReport.
+  constexpr size_t kGpuTimeField = kAgentFields;  // SubmitJob carries it after the agent.
+  const double hostile[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  const auto decode_frame = [](uint32_t type, const std::string& payload) {
+    Frame frame;
+    size_t consumed = 0;
+    EXPECT_EQ(DecodeFrame(EncodeFrame(type, payload), kDefaultMaxFrameBytes, &frame, &consumed),
+              FrameStatus::kOk);
+    return frame.payload;
+  };
+  for (size_t f = 0; f < fields.size(); ++f) {
+    for (double value : hostile) {
+      SchedJobReport report = MakeReport(1, 1);
+      fields[f](report, value);
+
+      BinWriter batch;
+      batch.PutU64(1);
+      PutSchedJobReport(batch, report);
+      const std::string payload = decode_frame(kMsgReport, batch.str());
+      BinReader in(payload);
+      ASSERT_EQ(in.GetU64(), 1u);
+      GetSchedJobReport(in);
+      EXPECT_FALSE(in.ok()) << "report field " << f << " = " << value;
+
+      if (f <= kGpuTimeField) {
+        // The SubmitJob payload: an AgentReport, then gpu_time.
+        BinWriter submit;
+        PutAgentReport(submit, report.agent);
+        submit.PutDouble(report.gpu_time);
+        const std::string submit_payload = decode_frame(kMsgSubmitJob, submit.str());
+        BinReader submit_in(submit_payload);
+        GetAgentReport(submit_in);
+        submit_in.GetFiniteDouble();
+        EXPECT_FALSE(submit_in.ok()) << "submit field " << f << " = " << value;
+      }
+
+      // The daemon's decoders never let such a report in; a snapshot that
+      // carries one anyway (tampered, CRC recomputed) is refused on restore.
+      TenantDomain domain(MakeSetup(9));
+      domain.SubmitJob(MakeAgent(1), 0.0);
+      ASSERT_TRUE(domain.Ingest(report));
+      std::string error;
+      EXPECT_EQ(TenantDomain::FromSnapshot(domain.EncodeSnapshot(), &error), nullptr)
+          << "report field " << f << " = " << value;
     }
   }
 }

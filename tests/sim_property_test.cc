@@ -125,11 +125,11 @@ INSTANTIATE_TEST_SUITE_P(
 // Golden-trace regression: a fixed-seed end-to-end Pollux simulation must
 // produce byte-stable summary metrics (avg JCT, makespan, per-job finish
 // times) across repeated runs AND across scheduler thread counts — the
-// parallel GA and its memoization cache may not perturb a single bit of the
-// simulated outcome. EXPECT_EQ on doubles is exact (bitwise for non-NaN).
+// parallel GA may not perturb a single bit of the simulated outcome.
+// EXPECT_EQ on doubles is exact (bitwise for non-NaN).
 class GoldenTraceTest : public ::testing::Test {
  protected:
-  static SimResult RunGolden(int sched_threads, bool memoize = true) {
+  static SimResult RunGolden(int sched_threads) {
     SimOptions options;
     options.cluster = ClusterSpec::Homogeneous(2, 4);
     options.seed = 1;
@@ -139,8 +139,6 @@ class GoldenTraceTest : public ::testing::Test {
     sched_config.ga.generations = 6;
     sched_config.ga.seed = 1;
     sched_config.ga.threads = options.sched_threads;
-    sched_config.ga.memoize = memoize;
-    sched_config.memoize_tables = memoize;
     PolluxPolicy policy(options.cluster, sched_config);
     return Simulator(options, SweepTrace(1), &policy).Run();
   }
@@ -180,10 +178,6 @@ TEST_F(GoldenTraceTest, SummaryMetricsByteStableAcrossThreadCounts) {
     ExpectIdentical(serial, parallel,
                     ("threads=" + std::to_string(threads)).c_str());
   }
-}
-
-TEST_F(GoldenTraceTest, SummaryMetricsByteStableWithoutMemoization) {
-  ExpectIdentical(RunGolden(4, /*memoize=*/true), RunGolden(4, /*memoize=*/false), "memo");
 }
 
 // The simulator is byte-deterministic per seed down to the full event log:
