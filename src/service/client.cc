@@ -228,7 +228,7 @@ bool ScheddClient::SubmitJob(uint64_t tenant_id, const AgentReport& agent, doubl
                              std::string* error) {
   BinWriter out;
   out.PutU64(tenant_id);
-  PutAgentReport(out, agent);
+  out.Put(agent);
   out.PutDouble(gpu_time);
   return ExpectAck(kMsgSubmitJob, out.str(), nullptr, error);
 }
@@ -245,7 +245,7 @@ bool ScheddClient::Report(uint64_t tenant_id, const std::vector<SchedJobReport>&
   BinWriter out;
   out.PutU64(tenant_id);
   out.PutU64(reports.size());
-  for (const auto& report : reports) PutSchedJobReport(out, report);
+  for (const auto& report : reports) out.Put(report);
   return ExpectAck(kMsgReport, out.str(), accepted, error);
 }
 
@@ -282,16 +282,7 @@ bool ScheddClient::Stats(std::map<std::string, uint64_t>* stats, std::string* er
     return false;
   }
   BinReader in(reply_payload);
-  const uint64_t count = in.GetU64();
-  if (count > (uint64_t{1} << 16)) {
-    if (error) *error = "malformed stats reply";
-    return false;
-  }
-  stats->clear();
-  for (uint64_t i = 0; i < count && in.ok(); ++i) {
-    const std::string key = in.GetString();
-    (*stats)[key] = in.GetU64();
-  }
+  StatsFields(in, *stats);
   if (!in.ok()) {
     if (error) *error = "malformed stats reply";
     return false;

@@ -309,6 +309,12 @@ void ScheddDaemon::SendError(const std::shared_ptr<Conn>& conn, ErrCode code,
   SendFrame(conn, kMsgError, EncodeError(code, detail));
 }
 
+void ScheddDaemon::SendAck(const std::shared_ptr<Conn>& conn, uint64_t value) {
+  BinWriter out;
+  out.PutU64(value);
+  SendFrame(conn, kMsgAck, out.str());
+}
+
 void ScheddDaemon::IoLoop() {
   std::vector<pollfd> fds;
   std::vector<std::shared_ptr<Conn>> polled;
@@ -465,7 +471,7 @@ void ScheddDaemon::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame)
     }
     case kMsgStats: {
       const ScheddStats stats = Stats();
-      const std::pair<const char*, uint64_t> rows[] = {
+      std::map<std::string, uint64_t> rows = {
           {"bad_frames", stats.bad_frames},
           {"checkpoints", stats.checkpoints},
           {"conns_closed", stats.conns_closed},
@@ -483,11 +489,7 @@ void ScheddDaemon::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame)
           {"tenants", stats.tenants},
       };
       BinWriter out;
-      out.PutU64(std::size(rows));
-      for (const auto& [key, value] : rows) {
-        out.PutString(key);
-        out.PutU64(value);
-      }
+      StatsFields(out, rows);
       SendFrame(conn, kMsgStatsReply, out.str());
       return;
     }
@@ -598,9 +600,7 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
         PutTenantSetup(existing, tenant->setup());
         PutTenantSetup(proposed, setup);
         if (existing.str() == proposed.str()) {
-          BinWriter out;
-          out.PutU64(0);
-          SendFrame(request.conn, kMsgAck, out.str());
+          SendAck(request.conn, 0);
         } else {
           SendError(request.conn, kErrTenantMismatch, "tenant exists with different setup");
         }
@@ -608,13 +608,11 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
       }
       shard.tenants[tenant_id] = std::make_unique<TenantDomain>(std::move(setup));
       tenants_.fetch_add(1, std::memory_order_relaxed);
-      BinWriter out;
-      out.PutU64(0);
-      SendFrame(request.conn, kMsgAck, out.str());
+      SendAck(request.conn, 0);
       return;
     }
     case kMsgSubmitJob: {
-      AgentReport agent = GetAgentReport(in);
+      const AgentReport agent = in.Get<AgentReport>();
       const double gpu_time = in.GetFiniteDouble();
       if (!in.ok() || !in.AtEnd()) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
@@ -628,9 +626,7 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
       const size_t jobs_before = tenant->num_jobs();
       tenant->SubmitJob(agent, gpu_time);
       jobs_.fetch_add(tenant->num_jobs() - jobs_before, std::memory_order_relaxed);
-      BinWriter out;
-      out.PutU64(1);
-      SendFrame(request.conn, kMsgAck, out.str());
+      SendAck(request.conn, 1);
       return;
     }
     case kMsgCancelJob: {
@@ -649,15 +645,20 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
         return;
       }
       jobs_.fetch_sub(1, std::memory_order_relaxed);
-      BinWriter out;
-      out.PutU64(1);
-      SendFrame(request.conn, kMsgAck, out.str());
+      SendAck(request.conn, 1);
       return;
     }
     case kMsgReport: {
       const double start = NowSeconds();
-      const uint64_t count = in.GetU64();
-      if (!in.ok() || count > kMaxBatch) {
+      // No report encodes smaller than a default-constructed one.
+      static const uint64_t kMinReportBytes = [] {
+        BinWriter probe;
+        probe.Put(SchedJobReport{});
+        return probe.str().size();
+      }();
+      uint64_t count = 0;
+      in.Count(count, kMaxBatch, kMinReportBytes);
+      if (!in.ok()) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
         SendError(request.conn, kErrMalformedPayload, "report batch");
         return;
@@ -668,7 +669,7 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
       }
       uint64_t accepted = 0;
       for (uint64_t i = 0; i < count && in.ok(); ++i) {
-        const SchedJobReport report = GetSchedJobReport(in);
+        const SchedJobReport report = in.Get<SchedJobReport>();
         if (in.ok() && tenant->Ingest(report)) ++accepted;
       }
       if (!in.ok() || !in.AtEnd()) {
@@ -677,9 +678,7 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
         return;
       }
       ObsMetrics().ingest_seconds->Record(NowSeconds() - start);
-      BinWriter out;
-      out.PutU64(accepted);
-      SendFrame(request.conn, kMsgAck, out.str());
+      SendAck(request.conn, accepted);
       return;
     }
     case kMsgRunRound: {

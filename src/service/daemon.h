@@ -133,6 +133,7 @@ class ScheddDaemon {
                  const std::string& payload);
   void SendError(const std::shared_ptr<Conn>& conn, ErrCode code,
                  const std::string& detail);
+  void SendAck(const std::shared_ptr<Conn>& conn, uint64_t value);
   void FlushConn(const std::shared_ptr<Conn>& conn);
   void CloseConn(uint64_t conn_id);
   void WakeIo();

@@ -10,206 +10,124 @@ namespace pollux {
 namespace service {
 namespace {
 
-// Absurd-size guard for decoded containers; matches the checkpoint codecs.
-constexpr uint64_t kMaxReasonable = uint64_t{1} << 20;
-
-void PutClusterSpec(BinWriter& out, const ClusterSpec& cluster) {
-  out.PutIntVec(cluster.gpus_per_node);
-  out.PutIntVec(cluster.rack_of_node);
-  out.PutIntVec(cluster.gpu_type_of_node);
-  out.PutU64(cluster.node_gpu_scale.size());
-  for (double scale : cluster.node_gpu_scale) out.PutDouble(scale);
-  out.PutDouble(cluster.rack_link_factor);
+// The tenant's cluster: capacities, then the per-node annotations and the
+// rack link factor.
+template <class Io>
+void Fields(Io& io, ClusterSpec& cluster) {
+  io.IntVec(cluster.gpus_per_node);
+  NodeAnnotationFields(io, cluster);
+  io.FiniteF64(cluster.rack_link_factor);
 }
 
-bool GetClusterSpec(BinReader& in, ClusterSpec* cluster) {
-  cluster->gpus_per_node = in.GetIntVec();
-  cluster->rack_of_node = in.GetIntVec();
-  cluster->gpu_type_of_node = in.GetIntVec();
-  const uint64_t num_scales = in.GetU64();
-  if (num_scales > kMaxReasonable) {
-    in.MarkBad();
-    return false;
+template <class Io>
+void Fields(Io& io, SchedConfig& config) {
+  io.I64(config.ga.population_size);
+  io.I64(config.ga.generations);
+  io.I64(config.ga.tournament_size);
+  io.FiniteF64(config.ga.restart_penalty);
+  io.Bool(config.ga.interference_avoidance);
+  io.U64(config.ga.seed);
+  // Two reserved slots: the removed GA memo-cache and table-cache switches.
+  // Always written as true, the value older builds defaulted to, and ignored
+  // on decode, so CreateTenant frames and tenant snapshots stay
+  // byte-compatible with those builds.
+  bool memo_cache_slot = true;
+  io.Bool(memo_cache_slot);
+  io.FiniteF64(config.gpu_time_threshold);
+  io.FiniteF64(config.weight_lambda);
+  bool table_cache_slot = true;
+  io.Bool(table_cache_slot);
+  io.FiniteF64(config.round_time_budget);
+  io.FiniteF64(config.stale_report_age);
+  io.FiniteF64(config.report_interval);
+  io.I64(config.lease_intervals);
+  io.FiniteF64(config.lease_grace);
+  io.FiniteF64(config.degraded_coverage);
+  io.Bool(config.naive_masking);
+  std::string mode = SchedModeName(config.mode);
+  io.Str(mode);
+  if constexpr (Io::kDecode) {
+    if (!SchedModeByName(mode, &config.mode)) io.MarkBad();
   }
-  cluster->node_gpu_scale.resize(num_scales);
-  for (uint64_t i = 0; i < num_scales && in.ok(); ++i) {
-    cluster->node_gpu_scale[i] = in.GetFiniteDouble();
-  }
-  cluster->rack_link_factor = in.GetFiniteDouble();
-  if (!in.ok()) return false;
-  // Shape validation: a tenant must schedule a real cluster, annotations (when
-  // present) must be per-node, and capacities must be non-negative.
-  const size_t nodes = cluster->gpus_per_node.size();
-  if (nodes == 0 || nodes > kMaxReasonable) {
-    in.MarkBad();
-    return false;
-  }
-  for (int gpus : cluster->gpus_per_node) {
-    if (gpus < 0) {
-      in.MarkBad();
-      return false;
-    }
-  }
-  if (!cluster->rack_of_node.empty() && cluster->rack_of_node.size() != nodes) {
-    in.MarkBad();
-    return false;
-  }
-  if (!cluster->gpu_type_of_node.empty() && cluster->gpu_type_of_node.size() != nodes) {
-    in.MarkBad();
-    return false;
-  }
-  if (!cluster->node_gpu_scale.empty() && cluster->node_gpu_scale.size() != nodes) {
-    in.MarkBad();
-    return false;
-  }
-  return true;
+  io.FiniteF64(config.dirty_rel_change);
+  io.I64(config.shard_jobs);
+  io.I64(config.refresh_rounds);
+  io.Bool(config.queue_admission);
 }
 
-void PutSchedConfig(BinWriter& out, const SchedConfig& config) {
-  out.PutI64(config.ga.population_size);
-  out.PutI64(config.ga.generations);
-  out.PutI64(config.ga.tournament_size);
-  out.PutDouble(config.ga.restart_penalty);
-  out.PutBool(config.ga.interference_avoidance);
-  out.PutU64(config.ga.seed);
-  // Reserved slot: the GA's removed memo-cache switch. Always written as
-  // true, the value older builds defaulted to, so CreateTenant frames and
-  // tenant snapshots stay byte-compatible with them.
-  out.PutBool(true);
-  out.PutDouble(config.gpu_time_threshold);
-  out.PutDouble(config.weight_lambda);
-  out.PutBool(true);  // Reserved slot: the removed table-cache switch.
-  out.PutDouble(config.round_time_budget);
-  out.PutDouble(config.stale_report_age);
-  out.PutDouble(config.report_interval);
-  out.PutI64(config.lease_intervals);
-  out.PutDouble(config.lease_grace);
-  out.PutDouble(config.degraded_coverage);
-  out.PutBool(config.naive_masking);
-  out.PutString(SchedModeName(config.mode));
-  out.PutDouble(config.dirty_rel_change);
-  out.PutI64(config.shard_jobs);
-  out.PutI64(config.refresh_rounds);
-  out.PutBool(config.queue_admission);
+// A tenant must schedule a real cluster, annotations (when present) must be
+// per-node, and capacities must be non-negative.
+bool ValidShape(const ClusterSpec& cluster) {
+  const size_t nodes = cluster.gpus_per_node.size();
+  const auto per_node = [nodes](size_t size) { return size == 0 || size == nodes; };
+  return nodes > 0 && nodes <= kMaxCount && per_node(cluster.rack_of_node.size()) &&
+         per_node(cluster.gpu_type_of_node.size()) && per_node(cluster.node_gpu_scale.size()) &&
+         std::ranges::none_of(cluster.gpus_per_node, [](int gpus) { return gpus < 0; });
 }
 
-bool GetSchedConfig(BinReader& in, SchedConfig* config) {
-  config->ga.population_size = static_cast<int>(in.GetI64());
-  config->ga.generations = static_cast<int>(in.GetI64());
-  config->ga.tournament_size = static_cast<int>(in.GetI64());
-  config->ga.restart_penalty = in.GetFiniteDouble();
-  config->ga.interference_avoidance = in.GetBool();
-  config->ga.seed = in.GetU64();
-  // Reserved slot (see PutSchedConfig), read and discarded so CreateTenant
-  // frames and tenant snapshots written by older builds, and the
-  // v3-container restore path, keep decoding unchanged.
-  in.GetBool();
-  // Shard workers already parallelize across tenants; each tenant's GA stays
-  // serial so decisions never depend on the daemon's thread count.
-  config->ga.threads = 1;
-  config->gpu_time_threshold = in.GetFiniteDouble();
-  config->weight_lambda = in.GetFiniteDouble();
-  in.GetBool();  // Reserved slot: the removed table-cache switch.
-  config->round_time_budget = in.GetFiniteDouble();
-  config->stale_report_age = in.GetFiniteDouble();
-  config->report_interval = in.GetFiniteDouble();
-  config->lease_intervals = static_cast<int>(in.GetI64());
-  config->lease_grace = in.GetFiniteDouble();
-  config->degraded_coverage = in.GetFiniteDouble();
-  config->naive_masking = in.GetBool();
-  const std::string mode = in.GetString();
-  if (!SchedModeByName(mode, &config->mode)) {
-    in.MarkBad();
-    return false;
-  }
-  config->dirty_rel_change = in.GetFiniteDouble();
-  config->shard_jobs = static_cast<int>(in.GetI64());
-  config->refresh_rounds = static_cast<int>(in.GetI64());
-  config->queue_admission = in.GetBool();
-  if (!in.ok()) return false;
-  // GA budget sanity: a hostile CreateTenant must not be able to request a
-  // round that effectively never terminates or divides by zero.
-  if (config->ga.population_size < 1 || config->ga.population_size > 100000 ||
-      config->ga.generations < 0 || config->ga.generations > 100000 ||
-      config->ga.tournament_size < 1) {
-    in.MarkBad();
-    return false;
-  }
-  return true;
-}
-
-void PutRoundDecisions(BinWriter& out, const RoundDecisions& decisions) {
-  out.PutU64(decisions.round);
-  out.PutBool(decisions.degraded);
-  out.PutDouble(decisions.utility);
-  out.PutU64(decisions.rows.size());
-  for (const auto& [job_id, row] : decisions.rows) {
-    out.PutU64(job_id);
-    out.PutIntVec(row);
-  }
-}
-
-bool GetRoundDecisions(BinReader& in, RoundDecisions* decisions) {
-  decisions->round = in.GetU64();
-  decisions->degraded = in.GetBool();
-  decisions->cached = false;
-  decisions->utility = in.GetDouble();
-  const uint64_t num_rows = in.GetU64();
-  if (num_rows > kMaxReasonable) {
-    in.MarkBad();
-    return false;
-  }
-  decisions->rows.clear();
-  for (uint64_t i = 0; i < num_rows && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    decisions->rows[job_id] = in.GetIntVec();
-  }
-  return in.ok();
+// GA budget sanity: a hostile CreateTenant must not be able to request a
+// round that effectively never terminates or divides by zero.
+bool ValidBudget(const GaOptions& ga) {
+  return ga.population_size >= 1 && ga.population_size <= 100000 && ga.generations >= 0 &&
+         ga.generations <= 100000 && ga.tournament_size >= 1;
 }
 
 }  // namespace
 
+// The two lists reached through BinWriter::Put and BinReader::Get live outside
+// the anonymous namespace, where argument-dependent lookup finds them.
+
+// Shared by the kMsgDecisions payload and the cached round in tenant
+// snapshots, whose flags word only ever carries kDecisionDegraded.
+template <class Io>
+void Fields(Io& io, RoundDecisions& decisions) {
+  io.U64(decisions.round);
+  uint32_t flags = (decisions.degraded ? kDecisionDegraded : 0u) |
+                   (decisions.cached ? kDecisionCached : 0u);
+  io.U32(flags);
+  if constexpr (Io::kDecode) {
+    decisions.degraded = (flags & kDecisionDegraded) != 0;
+    decisions.cached = (flags & kDecisionCached) != 0;
+  }
+  io.F64(decisions.utility);
+  io.Map(decisions.rows, kMaxCount, [](auto& map_io, uint64_t& job_id, std::vector<int>& row) {
+    map_io.U64(job_id);
+    map_io.IntVec(row);
+  });
+}
+
+// The setup minus the tenant id, which callers frame themselves.
+template <class Io>
+void Fields(Io& io, TenantSetup& setup) {
+  Fields(io, setup.cluster);
+  Fields(io, setup.sched);
+}
+
 std::string EncodeDecisionsPayload(const RoundDecisions& decisions) {
   BinWriter out;
-  out.PutU64(decisions.round);
-  uint32_t flags = 0;
-  if (decisions.degraded) flags |= kDecisionDegraded;
-  if (decisions.cached) flags |= kDecisionCached;
-  out.PutU32(flags);
-  out.PutDouble(decisions.utility);
-  out.PutU64(decisions.rows.size());
-  for (const auto& [job_id, row] : decisions.rows) {
-    out.PutU64(job_id);
-    out.PutIntVec(row);
-  }
+  out.Put(decisions);
   return out.str();
 }
 
 bool DecodeDecisionsPayload(const std::string& payload, RoundDecisions* decisions) {
   BinReader in(payload);
-  decisions->round = in.GetU64();
-  const uint32_t flags = in.GetU32();
-  decisions->degraded = (flags & kDecisionDegraded) != 0;
-  decisions->cached = (flags & kDecisionCached) != 0;
-  decisions->utility = in.GetDouble();
-  const uint64_t num_rows = in.GetU64();
-  if (!in.ok() || num_rows > kMaxReasonable) return false;
-  decisions->rows.clear();
-  for (uint64_t i = 0; i < num_rows && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    decisions->rows[job_id] = in.GetIntVec();
-  }
+  *decisions = in.Get<RoundDecisions>();
   return in.ok() && in.AtEnd();
 }
 
-void PutTenantSetup(BinWriter& out, const TenantSetup& setup) {
-  PutClusterSpec(out, setup.cluster);
-  PutSchedConfig(out, setup.sched);
-}
+void PutTenantSetup(BinWriter& out, const TenantSetup& setup) { out.Put(setup); }
 
 bool GetTenantSetup(BinReader& in, TenantSetup* setup) {
-  if (!GetClusterSpec(in, &setup->cluster)) return false;
-  return GetSchedConfig(in, &setup->sched);
+  Fields(in, *setup);
+  // Shard workers already parallelize across tenants; each tenant's GA stays
+  // serial so decisions never depend on the daemon's thread count.
+  setup->sched.ga.threads = 1;
+  if (!in.ok()) return false;
+  if (!ValidShape(setup->cluster) || !ValidBudget(setup->sched.ga)) {
+    in.MarkBad();
+    return false;
+  }
+  return true;
 }
 
 TenantDomain::TenantDomain(TenantSetup setup)
@@ -277,27 +195,30 @@ TenantDomain::RoundStatus TenantDomain::RunRound(uint64_t round, RoundDecisions*
   return RoundStatus::kExecuted;
 }
 
+template <class Io>
+void TenantDomain::StateFields(Io& io, PolluxSched::State& sched_state) {
+  io.U64(next_round_);
+  io.Bool(has_last_);
+  if (has_last_) Fields(io, last_);
+  io.Map(jobs_, kMaxCount, [](auto& map_io, uint64_t& job_id, SchedJobReport& report) {
+    map_io.U64(job_id);
+    Fields(map_io, report);
+  });
+  SchedCoreFields(io, sched_state);
+  SchedIncrementalFields(io, sched_state);
+  for (uint64_t* counter : {&submits_, &cancels_, &reports_, &rejected_reports_, &rounds_}) {
+    io.U64(*counter);
+  }
+}
+
 std::string TenantDomain::EncodeSnapshot() const {
   BinWriter out;
   out.PutU32(kTenantSnapshotVersion);
   out.PutU64(setup_.tenant_id);
   PutTenantSetup(out, setup_);
-  out.PutU64(next_round_);
-  out.PutBool(has_last_);
-  if (has_last_) PutRoundDecisions(out, last_);
-  out.PutU64(jobs_.size());
-  for (const auto& [job_id, report] : jobs_) {
-    out.PutU64(job_id);
-    PutSchedJobReport(out, report);
-  }
-  const PolluxSched::State state = sched_.GetState();
-  PutSchedStateCore(out, state);
-  PutSchedStateIncremental(out, state);
-  out.PutU64(submits_);
-  out.PutU64(cancels_);
-  out.PutU64(reports_);
-  out.PutU64(rejected_reports_);
-  out.PutU64(rounds_);
+  PolluxSched::State sched_state = sched_.GetState();
+  // A writer only reads through the field list's references.
+  const_cast<TenantDomain*>(this)->StateFields(out, sched_state);
   return out.str();
 }
 
@@ -316,34 +237,14 @@ std::unique_ptr<TenantDomain> TenantDomain::FromSnapshot(const std::string& payl
     return nullptr;
   }
   auto domain = std::make_unique<TenantDomain>(std::move(setup));
-  domain->next_round_ = in.GetU64();
-  domain->has_last_ = in.GetBool();
-  if (domain->has_last_ && !GetRoundDecisions(in, &domain->last_)) {
-    if (error) *error = "malformed cached round decisions";
-    return nullptr;
-  }
-  const uint64_t num_jobs = in.GetU64();
-  if (!in.ok() || num_jobs > kMaxReasonable) {
-    if (error) *error = "malformed job table";
-    return nullptr;
-  }
-  for (uint64_t i = 0; i < num_jobs && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    domain->jobs_[job_id] = GetSchedJobReport(in);
-  }
-  PolluxSched::State state;
-  GetSchedStateCore(in, &state);
-  GetSchedStateIncremental(in, &state);
-  domain->submits_ = in.GetU64();
-  domain->cancels_ = in.GetU64();
-  domain->reports_ = in.GetU64();
-  domain->rejected_reports_ = in.GetU64();
-  domain->rounds_ = in.GetU64();
+  PolluxSched::State sched_state;
+  domain->StateFields(in, sched_state);
   if (!in.ok() || !in.AtEnd()) {
     if (error) *error = "malformed tenant snapshot";
     return nullptr;
   }
-  domain->sched_.SetState(state);
+  domain->last_.cached = false;
+  domain->sched_.SetState(sched_state);
   return domain;
 }
 

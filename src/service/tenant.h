@@ -15,9 +15,10 @@
 //    identically (asserted by service_tenant_test), so a kill -9 followed by
 //    RestoreNewest() warm-restores the tenant and every subsequent round
 //    takes decisions identical to an uninterrupted daemon's.
-//  * Snapshots ride the v3 container from sim/checkpoint (magic + CRC +
-//    atomic rename), one kTagService section per file, newest-first fallback
-//    past torn or corrupt files.
+//  * Snapshots ride the sim/checkpoint container (magic + CRC + atomic
+//    rename; any container version since 3 restores), one kTagService
+//    section per file, newest-first fallback past torn or corrupt files. The
+//    payload is encoded by field lists (sim/checkpoint.h).
 
 #ifndef POLLUX_SERVICE_TENANT_H_
 #define POLLUX_SERVICE_TENANT_H_
@@ -47,8 +48,9 @@ struct TenantSetup {
   SchedConfig sched;
 };
 
-// Codec for the setup minus the tenant id (the id is framed by the caller).
-// GetTenantSetup validates shape (non-empty cluster, sane sizes) and sets the
+// Codec for the setup minus the tenant id (the id is framed by the caller),
+// run through the setup's field list. GetTenantSetup also validates shape
+// (non-empty cluster, per-node annotations) and the GA budget, and sets the
 // reader's failure flag on malformed input.
 void PutTenantSetup(BinWriter& out, const TenantSetup& setup);
 bool GetTenantSetup(BinReader& in, TenantSetup* setup);
@@ -121,6 +123,11 @@ class TenantDomain {
                                                      std::string* error);
 
  private:
+  // The snapshot after the setup: round state, job table, scheduler state
+  // and the cumulative counters.
+  template <class Io>
+  void StateFields(Io& io, PolluxSched::State& sched_state);
+
   TenantSetup setup_;
   PolluxSched sched_;
   // job id -> latest telemetry; current_allocation is daemon-owned.

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "sim/checkpoint.h"
@@ -122,6 +123,15 @@ FrameStatus DecodeFrame(const std::string& buffer, size_t max_payload, Frame* fr
 std::string EncodeError(ErrCode code, const std::string& detail);
 std::string EncodeNack(NackReason reason, const std::string& detail);
 bool DecodeErrorPayload(const std::string& payload, uint32_t* code, std::string* detail);
+
+// kMsgStatsReply payload field list: counter name -> value, in name order.
+template <class Io>
+void StatsFields(Io& io, std::map<std::string, uint64_t>& stats) {
+  io.Map(stats, uint64_t{1} << 16, [](auto& map_io, std::string& name, uint64_t& value) {
+    map_io.Str(name);
+    map_io.U64(value);
+  });
+}
 
 }  // namespace service
 }  // namespace pollux

@@ -187,24 +187,25 @@ double BinReader::GetFiniteDouble() {
   return value;
 }
 
-std::string BinReader::GetString() {
-  const uint64_t size = GetU64();
-  if (!ok_ || data_.size() - pos_ < size) {
+void BinReader::Count(uint64_t& count, uint64_t cap, uint64_t min_bytes) {
+  count = GetU64();
+  if (!ok_ || count > cap || (min_bytes > 0 && count > (data_.size() - pos_) / min_bytes)) {
     ok_ = false;
-    return std::string();
+    count = 0;
   }
+}
+
+std::string BinReader::GetString() {
+  uint64_t size = 0;
+  Count(size, kUncapped, 1);
   std::string value = data_.substr(pos_, size);
   pos_ += size;
   return value;
 }
 
 std::vector<int> BinReader::GetIntVec() {
-  const uint64_t size = GetU64();
-  // 8 bytes per element: bound the allocation by what the buffer can hold.
-  if (!ok_ || (data_.size() - pos_) / 8 < size) {
-    ok_ = false;
-    return {};
-  }
+  uint64_t size = 0;
+  Count(size, kUncapped, 8);
   std::vector<int> values(static_cast<size_t>(size));
   for (auto& v : values) {
     v = static_cast<int>(GetI64());
@@ -212,225 +213,15 @@ std::vector<int> BinReader::GetIntVec() {
   return values;
 }
 
-void PutRngState(BinWriter& out, const Rng::State& state) {
-  for (uint64_t word : state.words) {
-    out.PutU64(word);
-  }
-  out.PutDouble(state.cached_normal);
-  out.PutBool(state.has_cached_normal);
-}
-
-Rng::State GetRngState(BinReader& in) {
-  Rng::State state;
-  for (auto& word : state.words) {
-    word = in.GetU64();
-  }
-  state.cached_normal = in.GetDouble();
-  state.has_cached_normal = in.GetBool();
-  return state;
-}
-
-void PutRunningStats(BinWriter& out, const RunningStats::State& state) {
-  out.PutU64(state.count);
-  out.PutDouble(state.mean);
-  out.PutDouble(state.m2);
-  out.PutDouble(state.min);
-  out.PutDouble(state.max);
-}
-
-RunningStats::State GetRunningStats(BinReader& in) {
-  RunningStats::State state;
-  state.count = static_cast<size_t>(in.GetU64());
-  state.mean = in.GetDouble();
-  state.m2 = in.GetDouble();
-  state.min = in.GetDouble();
-  state.max = in.GetDouble();
-  return state;
-}
-
-void PutAgentReport(BinWriter& out, const AgentReport& report) {
-  out.PutU64(report.job_id);
-  const ThroughputParams& p = report.model.params();
-  out.PutDouble(p.alpha_grad);
-  out.PutDouble(p.beta_grad);
-  out.PutDouble(p.alpha_sync_local);
-  out.PutDouble(p.beta_sync_local);
-  out.PutDouble(p.alpha_sync_node);
-  out.PutDouble(p.beta_sync_node);
-  out.PutDouble(p.gamma);
-  out.PutDouble(report.model.phi());
-  out.PutI64(report.model.base_batch_size());
-  out.PutI64(report.limits.min_batch);
-  out.PutI64(report.limits.max_batch_total);
-  out.PutI64(report.limits.max_batch_per_gpu);
-  out.PutI64(report.max_gpus_cap);
-}
-
-AgentReport GetAgentReport(BinReader& in) {
-  AgentReport report;
-  report.job_id = in.GetU64();
-  ThroughputParams p;
-  p.alpha_grad = in.GetFiniteDouble();
-  p.beta_grad = in.GetFiniteDouble();
-  p.alpha_sync_local = in.GetFiniteDouble();
-  p.beta_sync_local = in.GetFiniteDouble();
-  p.alpha_sync_node = in.GetFiniteDouble();
-  p.beta_sync_node = in.GetFiniteDouble();
-  p.gamma = in.GetFiniteDouble();
-  const double phi = in.GetFiniteDouble();
-  const long base_batch = static_cast<long>(in.GetI64());
-  report.model = GoodputModel(p, phi, base_batch);
-  report.limits.min_batch = static_cast<long>(in.GetI64());
-  report.limits.max_batch_total = static_cast<long>(in.GetI64());
-  report.limits.max_batch_per_gpu = static_cast<long>(in.GetI64());
-  report.max_gpus_cap = static_cast<int>(in.GetI64());
-  return report;
-}
-
-void PutSchedJobReport(BinWriter& out, const SchedJobReport& report) {
-  PutAgentReport(out, report.agent);
-  out.PutDouble(report.gpu_time);
-  out.PutIntVec(report.current_allocation);
-  out.PutDouble(report.report_age);
-  out.PutU64(report.seq);
-}
-
-SchedJobReport GetSchedJobReport(BinReader& in) {
-  SchedJobReport report;
-  report.agent = GetAgentReport(in);
-  report.gpu_time = in.GetFiniteDouble();
-  report.current_allocation = in.GetIntVec();
-  report.report_age = in.GetFiniteDouble();
-  report.seq = in.GetU64();
-  return report;
-}
-
-void PutSchedStateCore(BinWriter& out, const PolluxSched::State& state) {
-  PutRngState(out, state.ga.rng);
-  out.PutU64(state.ga.last_job_ids.size());
-  for (uint64_t job_id : state.ga.last_job_ids) {
-    out.PutU64(job_id);
-  }
-  out.PutU64(state.ga.population.size());
-  for (const AllocationMatrix& matrix : state.ga.population) {
-    out.PutU64(matrix.num_jobs());
-    out.PutU64(matrix.num_nodes());
-    for (size_t job = 0; job < matrix.num_jobs(); ++job) {
-      for (size_t node = 0; node < matrix.num_nodes(); ++node) {
-        out.PutI64(matrix.at(job, node));
-      }
-    }
-  }
-  out.PutDouble(state.last_utility);
-  out.PutDouble(state.last_fitness);
-  out.PutU64(state.fallback_rounds);
-  out.PutU64(state.degraded_rounds);
-  out.PutU64(state.lease_expirations);
-  out.PutU64(state.lease_evictions);
-  out.PutU64(state.dup_reports);
-  out.PutU64(state.queue_skipped);
-  out.PutU64(state.telemetry.size());
-  for (const auto& [job_id, telemetry] : state.telemetry) {
-    out.PutU64(job_id);
-    out.PutU64(telemetry.first);
-    out.PutU32(telemetry.second);
-  }
-}
-
-void GetSchedStateCore(BinReader& in, PolluxSched::State* state) {
-  state->ga.rng = GetRngState(in);
-  const uint64_t job_ids = in.GetU64();
-  for (uint64_t i = 0; i < job_ids && in.ok(); ++i) {
-    state->ga.last_job_ids.push_back(in.GetU64());
-  }
-  const uint64_t population = in.GetU64();
-  for (uint64_t i = 0; i < population && in.ok(); ++i) {
-    const uint64_t num_jobs = in.GetU64();
-    const uint64_t num_nodes = in.GetU64();
-    if (!in.ok() || num_jobs > (uint64_t{1} << 20) || num_nodes > (uint64_t{1} << 20)) {
-      in.MarkBad();
-      return;
-    }
-    AllocationMatrix matrix(static_cast<size_t>(num_jobs), static_cast<size_t>(num_nodes));
-    for (size_t job = 0; job < matrix.num_jobs(); ++job) {
-      for (size_t node = 0; node < matrix.num_nodes(); ++node) {
-        matrix.at(job, node) = static_cast<int>(in.GetI64());
-      }
-    }
-    state->ga.population.push_back(std::move(matrix));
-  }
-  state->last_utility = in.GetDouble();
-  state->last_fitness = in.GetDouble();
-  state->fallback_rounds = in.GetU64();
-  state->degraded_rounds = in.GetU64();
-  state->lease_expirations = in.GetU64();
-  state->lease_evictions = in.GetU64();
-  state->dup_reports = in.GetU64();
-  state->queue_skipped = in.GetU64();
-  const uint64_t telemetry_entries = in.GetU64();
-  for (uint64_t i = 0; i < telemetry_entries && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    const uint64_t last_seq = in.GetU64();
-    const uint32_t last_class = in.GetU32();
-    state->telemetry[job_id] = {last_seq, last_class};
-  }
-}
-
-void PutSchedStateIncremental(BinWriter& out, const PolluxSched::State& state) {
-  out.PutU64(state.incremental.size());
-  for (const auto& [job_id, snap] : state.incremental) {
-    out.PutU64(job_id);
-    out.PutDouble(snap.params.alpha_grad);
-    out.PutDouble(snap.params.beta_grad);
-    out.PutDouble(snap.params.alpha_sync_local);
-    out.PutDouble(snap.params.beta_sync_local);
-    out.PutDouble(snap.params.alpha_sync_node);
-    out.PutDouble(snap.params.beta_sync_node);
-    out.PutDouble(snap.params.gamma);
-    out.PutDouble(snap.phi);
-    out.PutI64(snap.base_batch);
-    out.PutI64(snap.cap);
-    out.PutU32(snap.bucket);
-    out.PutU32(snap.rounds_clean);
-  }
-  out.PutU64(state.incremental_round);
-}
-
-void GetSchedStateIncremental(BinReader& in, PolluxSched::State* state) {
-  const uint64_t incremental_entries = in.GetU64();
-  for (uint64_t i = 0; i < incremental_entries && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    PolluxSched::JobOptState snap;
-    snap.params.alpha_grad = in.GetDouble();
-    snap.params.beta_grad = in.GetDouble();
-    snap.params.alpha_sync_local = in.GetDouble();
-    snap.params.beta_sync_local = in.GetDouble();
-    snap.params.alpha_sync_node = in.GetDouble();
-    snap.params.beta_sync_node = in.GetDouble();
-    snap.params.gamma = in.GetDouble();
-    snap.phi = in.GetDouble();
-    snap.base_batch = static_cast<long>(in.GetI64());
-    snap.cap = static_cast<int>(in.GetI64());
-    snap.bucket = static_cast<uint16_t>(in.GetU32());
-    snap.rounds_clean = in.GetU32();
-    state->incremental[job_id] = snap;
-  }
-  state->incremental_round = in.GetU64();
-}
-
 std::string EncodeSnapshotExtra(const SnapshotExtra& extra) {
   BinWriter out;
-  out.PutString(extra.policy);
-  out.PutString(extra.driver_config);
-  out.PutString(extra.trace_csv);
+  out.Put(extra);
   return out.str();
 }
 
 bool DecodeSnapshotExtra(const std::string& payload, SnapshotExtra* extra) {
   BinReader in(payload);
-  extra->policy = in.GetString();
-  extra->driver_config = in.GetString();
-  extra->trace_csv = in.GetString();
+  *extra = in.Get<SnapshotExtra>();
   return in.ok() && in.AtEnd();
 }
 

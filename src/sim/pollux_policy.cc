@@ -3,6 +3,31 @@
 #include "sim/checkpoint.h"
 
 namespace pollux {
+namespace {
+
+// The kTagScheduler blob of a pollux-policy simulator snapshot.
+struct Blob {
+  ClusterSpec cluster;
+  PolluxSched::State state;
+  std::vector<SchedJobReport> reports;  // The last round's reports.
+};
+
+template <class Io>
+void Fields(Io& io, Blob& blob) {
+  io.IntVec(blob.cluster.gpus_per_node);
+  SchedCoreFields(io, blob.state);
+  io.List(blob.reports, kUncapped,
+          [](auto& list_io, SchedJobReport& report) { Fields(list_io, report); });
+  SchedIncrementalFields(io, blob.state);
+  // Topology annotations travel with the blob so the restored scheduler's
+  // cluster compares equal to the live one. Otherwise the first Schedule()
+  // after a resume would SetCluster (annotations missing) and wipe the
+  // persisted GA population, diverging from the uninterrupted run.
+  NodeAnnotationFields(io, blob.cluster);
+  io.FiniteF64(blob.cluster.rack_link_factor);
+}
+
+}  // namespace
 
 PolluxPolicy::PolluxPolicy(ClusterSpec cluster, SchedConfig config)
     : sched_(std::move(cluster), config) {}
@@ -32,71 +57,21 @@ void PolluxPolicy::OnClusterChanged(const ClusterSpec& cluster) { sched_.SetClus
 
 void PolluxPolicy::SaveState(std::string* blob) const {
   BinWriter out;
-  out.PutIntVec(sched_.cluster().gpus_per_node);
-  const PolluxSched::State state = sched_.GetState();
-  PutSchedStateCore(out, state);
-  out.PutU64(last_reports_.size());
-  for (const SchedJobReport& report : last_reports_) {
-    PutSchedJobReport(out, report);
-  }
-  PutSchedStateIncremental(out, state);
-  // Topology annotations travel with the blob so the restored scheduler's
-  // cluster compares equal to the live one — otherwise the first Schedule()
-  // after a resume would SetCluster (annotations missing) and wipe the
-  // persisted GA population, diverging from the uninterrupted run. Appended
-  // at the end so pre-topology blobs still load (the reader stops at
-  // end-of-blob and keeps the flat cluster they describe).
-  const ClusterSpec& sched_cluster = sched_.cluster();
-  out.PutIntVec(sched_cluster.rack_of_node);
-  out.PutIntVec(sched_cluster.gpu_type_of_node);
-  out.PutU64(sched_cluster.node_gpu_scale.size());
-  for (double scale : sched_cluster.node_gpu_scale) {
-    out.PutDouble(scale);
-  }
-  out.PutDouble(sched_cluster.rack_link_factor);
+  out.Put(Blob{sched_.cluster(), sched_.GetState(), last_reports_});
   *blob = out.str();
 }
 
 bool PolluxPolicy::LoadState(const std::string& blob) {
   BinReader in(blob);
-  ClusterSpec cluster;
-  cluster.gpus_per_node = in.GetIntVec();
-  if (!in.ok()) {
-    return false;
-  }
-  PolluxSched::State state;
-  GetSchedStateCore(in, &state);
-  const uint64_t reports = in.GetU64();
-  std::vector<SchedJobReport> restored_reports;
-  for (uint64_t i = 0; i < reports && in.ok(); ++i) {
-    restored_reports.push_back(GetSchedJobReport(in));
-  }
-  GetSchedStateIncremental(in, &state);
-  if (!in.ok()) {
-    return false;
-  }
-  if (!in.AtEnd()) {
-    // Trailing topology annotations (absent in pre-topology blobs).
-    cluster.rack_of_node = in.GetIntVec();
-    cluster.gpu_type_of_node = in.GetIntVec();
-    const uint64_t scales = in.GetU64();
-    if (!in.ok() || scales > (uint64_t{1} << 20)) {
-      return false;
-    }
-    cluster.node_gpu_scale.resize(static_cast<size_t>(scales));
-    for (uint64_t i = 0; i < scales && in.ok(); ++i) {
-      cluster.node_gpu_scale[i] = in.GetDouble();
-    }
-    cluster.rack_link_factor = in.GetDouble();
-  }
+  Blob restored = in.Get<Blob>();
   if (!in.ok() || !in.AtEnd()) {
     return false;
   }
   // The cluster must be restored before the GA state: SetCluster clears the
   // persisted population (matrix shapes change with the cluster).
-  sched_.SetCluster(cluster);
-  sched_.SetState(state);
-  last_reports_ = std::move(restored_reports);
+  sched_.SetCluster(std::move(restored.cluster));
+  sched_.SetState(restored.state);
+  last_reports_ = std::move(restored.reports);
   return true;
 }
 

@@ -1391,73 +1391,110 @@ double Simulator::RunEvent() {
 
 namespace {
 
-void PutAgentState(BinWriter& out, const PolluxAgent::State& state) {
-  out.PutU64(state.observations.size());
-  for (const auto& observation : state.observations) {
-    out.PutI64(observation.gpus);
-    out.PutI64(observation.node_regime);
-    out.PutI64(observation.batch_bucket);
-    PutRunningStats(out, observation.iter_time);
-    PutRunningStats(out, observation.batch_size);
-  }
-  out.PutDouble(state.tracker.cov_ema);
-  out.PutDouble(state.tracker.sqnorm_ema);
-  out.PutDouble(state.tracker.weight);
-  out.PutU64(state.tracker.count);
-  const ThroughputParams& params = state.model_params;
-  out.PutDouble(params.alpha_grad);
-  out.PutDouble(params.beta_grad);
-  out.PutDouble(params.alpha_sync_local);
-  out.PutDouble(params.beta_sync_local);
-  out.PutDouble(params.alpha_sync_node);
-  out.PutDouble(params.beta_sync_node);
-  out.PutDouble(params.gamma);
-  out.PutDouble(state.model_phi);
-  out.PutI64(state.model_base_batch);
-  out.PutI64(state.max_gpus_seen);
-  out.PutI64(state.max_nodes_seen);
-  out.PutU64(state.last_fit_configs);
-  out.PutI64(state.fits_rejected);
-  out.PutI64(state.outliers_rejected);
+// The config echo at the head of kTagSimCore: a snapshot resumed under a
+// different seed, tick, or trace cannot silently produce a diverged run.
+struct RunEcho {
+  uint64_t seed = 0;
+  double tick = 0.0;
+  uint64_t trace_size = 0;
+  bool operator==(const RunEcho&) const = default;
+};
+
+template <class Io>
+void Fields(Io& io, RunEcho& echo) {
+  io.U64(echo.seed);
+  io.F64(echo.tick);
+  io.U64(echo.trace_size);
 }
 
-PolluxAgent::State GetAgentState(BinReader& in) {
-  PolluxAgent::State state;
-  const uint64_t observations = in.GetU64();
-  if (!in.ok()) {
-    return state;
+// kTagTopology, once per cluster copy: a presence flag, then the rack link
+// factor and the per-node annotations.
+template <class Io>
+void TopologyFields(Io& io, ClusterSpec& cluster) {
+  bool annotated = cluster.HasTopology();
+  io.Bool(annotated);
+  if (annotated) {
+    io.FiniteF64(cluster.rack_link_factor);
+    NodeAnnotationFields(io, cluster);
+  } else if constexpr (Io::kDecode) {
+    cluster.rack_link_factor = 1.0;
+    cluster.rack_of_node.clear();
+    cluster.gpu_type_of_node.clear();
+    cluster.node_gpu_scale.clear();
   }
-  state.observations.reserve(static_cast<size_t>(observations));
-  for (uint64_t i = 0; i < observations && in.ok(); ++i) {
-    PolluxAgent::State::Observation observation;
-    observation.gpus = static_cast<int>(in.GetI64());
-    observation.node_regime = static_cast<int>(in.GetI64());
-    observation.batch_bucket = static_cast<long>(in.GetI64());
-    observation.iter_time = GetRunningStats(in);
-    observation.batch_size = GetRunningStats(in);
-    state.observations.push_back(observation);
+}
+
+template <class Io>
+void Fields(Io& io, FaultInjector::State& state) {
+  for (Rng::State* rng : {&state.report_rng, &state.restart_rng, &state.sched_rng}) {
+    Fields(io, *rng);
   }
-  state.tracker.cov_ema = in.GetDouble();
-  state.tracker.sqnorm_ema = in.GetDouble();
-  state.tracker.weight = in.GetDouble();
-  state.tracker.count = static_cast<size_t>(in.GetU64());
-  ThroughputParams params;
-  params.alpha_grad = in.GetDouble();
-  params.beta_grad = in.GetDouble();
-  params.alpha_sync_local = in.GetDouble();
-  params.beta_sync_local = in.GetDouble();
-  params.alpha_sync_node = in.GetDouble();
-  params.beta_sync_node = in.GetDouble();
-  params.gamma = in.GetDouble();
-  state.model_params = params;
-  state.model_phi = in.GetDouble();
-  state.model_base_batch = static_cast<long>(in.GetI64());
-  state.max_gpus_seen = static_cast<int>(in.GetI64());
-  state.max_nodes_seen = static_cast<int>(in.GetI64());
-  state.last_fit_configs = static_cast<size_t>(in.GetU64());
-  state.fits_rejected = static_cast<int>(in.GetI64());
-  state.outliers_rejected = static_cast<int>(in.GetI64());
-  return state;
+  io.F64(state.next_sched_crash);
+  io.List(state.nodes, kMaxCount, [](auto& list_io, FaultInjector::State::Node& node) {
+    Fields(list_io, node.rng);
+    list_io.Bool(node.failed);
+    list_io.Bool(node.straggler);
+    list_io.F64(node.next_transition);
+  });
+  io.U64(state.nodes_created);
+}
+
+template <class Io>
+void Fields(Io& io, NetModel::State& state) {
+  for (auto* channels : {&state.report_channels, &state.decision_channels}) {
+    io.List(*channels, kMaxLargeCount, [](auto& list_io, NetModel::State::Channel& channel) {
+      list_io.U64(channel.job_id);
+      Fields(list_io, channel.rng);
+      list_io.F64(channel.burst_until);
+      list_io.U64(channel.next_seq);
+    });
+  }
+  for (auto* tracks : {&state.node_tracks, &state.rack_tracks}) {
+    io.List(*tracks, kMaxCount, [](auto& list_io, NetModel::State::Track& track) {
+      Fields(list_io, track.rng);
+      list_io.Bool(track.head_down);
+      list_io.F64(track.tail_time);
+      list_io.List(track.pending, kMaxLargeCount,
+                   [](auto& flip_io, double& flip) { flip_io.F64(flip); });
+    });
+  }
+  io.List(state.messages, kMaxLargeCount, [](auto& list_io, NetModel::Message& message) {
+    list_io.Enum(message.kind, NetModel::MsgKind::kHeartbeat);
+    list_io.F64(message.deliver_at);
+    list_io.U64(message.seq);
+    list_io.U64(message.job_id);
+    list_io.I64(message.node);
+    list_io.U64(message.payload_seq);
+    list_io.F64(message.sent_at);
+    Fields(list_io, message.report);
+    list_io.IntVec(message.row);
+  });
+  io.U64(state.next_msg_seq);
+  io.U64(state.node_tracks_created);
+  io.U64(state.rack_tracks_created);
+}
+
+// kTagResult: the event log, the timeline, and node-second accounting.
+template <class Io>
+void ResultFields(Io& io, SimResult& result) {
+  io.List(result.events, kUncapped, [](auto& list_io, SimEvent& event) {
+    list_io.F64(event.time);
+    list_io.Enum(event.kind, SimEventKind::kDecisionBounce);
+    list_io.U64(event.job_id);
+    list_io.I64(event.gpus);
+    list_io.I64(event.nodes);
+  });
+  io.List(result.timeline, kUncapped, [](auto& list_io, ClusterSample& sample) {
+    list_io.F64(sample.time);
+    for (int* count : {&sample.nodes, &sample.total_gpus, &sample.gpus_in_use,
+                       &sample.running_jobs}) {
+      list_io.I64(*count);
+    }
+    list_io.F64(sample.mean_efficiency);
+    list_io.F64(sample.utility);
+    list_io.I64(sample.max_batch_size);
+  });
+  io.F64(result.node_seconds);
 }
 
 bool LoadFail(std::string* error, const std::string& path, const std::string& message) {
@@ -1469,200 +1506,107 @@ bool LoadFail(std::string* error, const std::string& path, const std::string& me
 
 }  // namespace
 
+template <class Io>
+void Simulator::CoreFields(Io& io) {
+  io.IntVec(cluster_.gpus_per_node);
+  io.IntVec(base_cluster_.gpus_per_node);
+  StateFields(io, rng_);
+  io.U64(next_submission_);
+  io.U64(checked_events_);
+  io.F64(max_event_time_);
+}
+
+template <class Io>
+void Simulator::JobFields(Io& io, Job& job) {
+  StateFields(io, job.agent);
+  StateFields(io, job.rng);
+  io.IntVec(job.alloc);
+  if constexpr (Io::kDecode) job.placement = PlacementOf(job.alloc);
+  io.I64(job.batch);
+  io.F64(job.progress);
+  io.Bool(job.finished);
+  for (double* time : {&job.restart_until, &job.start_time, &job.finish_time, &job.gpu_time}) {
+    io.F64(*time);
+  }
+  for (int* count : {&job.restarts, &job.evictions, &job.restart_failures}) io.I64(*count);
+  io.F64(job.backoff_seconds);
+  io.Bool(job.has_report);
+  io.F64(job.last_report_time);
+  Fields(io, job.report);
+  io.U64(job.report_seq);
+  io.U64(job.decision_seq);
+  io.F64(job.run_seconds);
+  io.F64(job.eff_integral);
+  io.F64(job.tput_integral);
+  io.F64(job.goodput_integral);
+}
+
+template <class Io>
+void Simulator::NetFields(Io& io, NetModel::State& state) {
+  Fields(io, state);
+  io.List(last_heard_, kMaxCount, [](auto& list_io, double& heard) { list_io.F64(heard); });
+  io.Map(partition_started_, kMaxCount, [](auto& map_io, std::pair<int, int>& key, double& start) {
+    map_io.U32(key.first);
+    map_io.I64(key.second);
+    map_io.F64(start);
+  });
+}
+
+template <class Io>
+void Simulator::LoopFields(Io& io) {
+  io.Bool(loop_.valid);
+  for (double* value : {&loop_.now, &loop_.report_threshold, &loop_.report_last,
+                        &loop_.sched_threshold, &loop_.sched_last, &loop_.autoscale_threshold,
+                        &loop_.autoscale_last, &loop_.ckpt_threshold, &loop_.ckpt_last}) {
+    io.F64(*value);
+  }
+  io.U64(loop_.engine_events);
+}
+
 bool Simulator::SaveSnapshot(const std::string& path, std::string* error) {
   std::map<uint32_t, std::string> sections;
   sections[kTagExtra] = EncodeSnapshotExtra(snapshot_extra_);
-  {
-    // Core scalars plus a config echo validated on load: a snapshot resumed
-    // under a different seed, tick, or trace cannot silently produce a
-    // diverged run.
+  const auto encode = [&sections](uint32_t tag, const auto& fields) {
     BinWriter out;
-    out.PutU64(options_.seed);
-    out.PutDouble(options_.tick);
-    out.PutU64(trace_.size());
-    out.PutIntVec(cluster_.gpus_per_node);
-    out.PutIntVec(base_cluster_.gpus_per_node);
-    PutRngState(out, rng_.GetState());
-    out.PutU64(next_submission_);
-    out.PutU64(checked_events_);
-    out.PutDouble(max_event_time_);
-    sections[kTagSimCore] = out.str();
-  }
-  {
-    BinWriter out;
+    fields(out);
+    sections[tag] = out.str();
+  };
+  encode(kTagSimCore, [this](BinWriter& out) {
+    out.Put(RunEcho{options_.seed, options_.tick, trace_.size()});
+    CoreFields(out);
+  });
+  encode(kTagJobs, [this](BinWriter& out) {
     out.PutU64(jobs_.size());
     for (const auto& job : jobs_) {
       out.PutU64(job->spec.job_id);
-      PutAgentState(out, job->agent.GetState());
-      PutRngState(out, job->rng.GetState());
-      out.PutIntVec(job->alloc);
-      out.PutI64(job->batch);
-      out.PutDouble(job->progress);
-      out.PutBool(job->finished);
-      out.PutDouble(job->restart_until);
-      out.PutDouble(job->start_time);
-      out.PutDouble(job->finish_time);
-      out.PutDouble(job->gpu_time);
-      out.PutI64(job->restarts);
-      out.PutI64(job->evictions);
-      out.PutI64(job->restart_failures);
-      out.PutDouble(job->backoff_seconds);
-      out.PutBool(job->has_report);
-      out.PutDouble(job->last_report_time);
-      PutAgentReport(out, job->report);
-      out.PutU64(job->report_seq);
-      out.PutU64(job->decision_seq);
-      out.PutDouble(job->run_seconds);
-      out.PutDouble(job->eff_integral);
-      out.PutDouble(job->tput_integral);
-      out.PutDouble(job->goodput_integral);
+      JobFields(out, *job);
     }
-    sections[kTagJobs] = out.str();
-  }
-  {
-    BinWriter out;
+  });
+  encode(kTagFaults, [this](BinWriter& out) {
     out.PutBool(faults_ != nullptr);
     if (faults_ != nullptr) {
-      const FaultInjector::State state = faults_->GetState();
-      PutRngState(out, state.report_rng);
-      PutRngState(out, state.restart_rng);
-      PutRngState(out, state.sched_rng);
-      out.PutDouble(state.next_sched_crash);
-      out.PutU64(state.nodes.size());
-      for (const auto& node : state.nodes) {
-        PutRngState(out, node.rng);
-        out.PutBool(node.failed);
-        out.PutBool(node.straggler);
-        out.PutDouble(node.next_transition);
-      }
-      out.PutU64(state.nodes_created);
+      FaultInjector::State state = faults_->GetState();
+      Fields(out, state);
     }
-    sections[kTagFaults] = out.str();
-  }
-  {
-    BinWriter out;
+  });
+  encode(kTagNet, [this](BinWriter& out) {
     out.PutBool(net_ != nullptr);
     if (net_ != nullptr) {
-      const NetModel::State state = net_->GetState();
-      const auto put_channels = [&out](const std::vector<NetModel::State::Channel>& channels) {
-        out.PutU64(channels.size());
-        for (const auto& channel : channels) {
-          out.PutU64(channel.job_id);
-          PutRngState(out, channel.rng);
-          out.PutDouble(channel.burst_until);
-          out.PutU64(channel.next_seq);
-        }
-      };
-      put_channels(state.report_channels);
-      put_channels(state.decision_channels);
-      const auto put_tracks = [&out](const std::vector<NetModel::State::Track>& tracks) {
-        out.PutU64(tracks.size());
-        for (const auto& track : tracks) {
-          PutRngState(out, track.rng);
-          out.PutBool(track.head_down);
-          out.PutDouble(track.tail_time);
-          out.PutU64(track.pending.size());
-          for (double flip : track.pending) {
-            out.PutDouble(flip);
-          }
-        }
-      };
-      put_tracks(state.node_tracks);
-      put_tracks(state.rack_tracks);
-      out.PutU64(state.messages.size());
-      for (const NetModel::Message& message : state.messages) {
-        out.PutU32(static_cast<uint32_t>(message.kind));
-        out.PutDouble(message.deliver_at);
-        out.PutU64(message.seq);
-        out.PutU64(message.job_id);
-        out.PutI64(message.node);
-        out.PutU64(message.payload_seq);
-        out.PutDouble(message.sent_at);
-        PutAgentReport(out, message.report);
-        out.PutIntVec(message.row);
-      }
-      out.PutU64(state.next_msg_seq);
-      out.PutU64(state.node_tracks_created);
-      out.PutU64(state.rack_tracks_created);
-      out.PutU64(last_heard_.size());
-      for (double heard : last_heard_) {
-        out.PutDouble(heard);
-      }
-      out.PutU64(partition_started_.size());
-      for (const auto& [key, start] : partition_started_) {
-        out.PutU32(static_cast<uint32_t>(key.first));
-        out.PutI64(key.second);
-        out.PutDouble(start);
-      }
+      NetModel::State state = net_->GetState();
+      NetFields(out, state);
     }
-    sections[kTagNet] = out.str();
-  }
-  {
-    std::string blob;
-    scheduler_->SaveState(&blob);
-    sections[kTagScheduler] = std::move(blob);
-  }
-  {
-    // Topology annotations for both cluster copies (v3). The section is
-    // written even for flat runs (two false flags) so save -> load -> save is
-    // byte-identical; it matters after an autoscale resize, where the
-    // annotation vectors no longer match the construction-time options.
-    BinWriter out;
-    const auto put_topology = [&out](const ClusterSpec& cluster) {
-      out.PutBool(cluster.HasTopology());
-      if (cluster.HasTopology()) {
-        out.PutDouble(cluster.rack_link_factor);
-        out.PutIntVec(cluster.rack_of_node);
-        out.PutIntVec(cluster.gpu_type_of_node);
-        out.PutU64(cluster.node_gpu_scale.size());
-        for (double scale : cluster.node_gpu_scale) {
-          out.PutDouble(scale);
-        }
-      }
-    };
-    put_topology(cluster_);
-    put_topology(base_cluster_);
-    sections[kTagTopology] = out.str();
-  }
-  {
-    BinWriter out;
-    out.PutU64(result_.events.size());
-    for (const auto& event : result_.events) {
-      out.PutDouble(event.time);
-      out.PutU32(static_cast<uint32_t>(event.kind));
-      out.PutU64(event.job_id);
-      out.PutI64(event.gpus);
-      out.PutI64(event.nodes);
-    }
-    out.PutU64(result_.timeline.size());
-    for (const auto& sample : result_.timeline) {
-      out.PutDouble(sample.time);
-      out.PutI64(sample.nodes);
-      out.PutI64(sample.total_gpus);
-      out.PutI64(sample.gpus_in_use);
-      out.PutI64(sample.running_jobs);
-      out.PutDouble(sample.mean_efficiency);
-      out.PutDouble(sample.utility);
-      out.PutI64(sample.max_batch_size);
-    }
-    out.PutDouble(result_.node_seconds);
-    sections[kTagResult] = out.str();
-  }
-  {
-    BinWriter out;
-    out.PutBool(loop_.valid);
-    out.PutDouble(loop_.now);
-    out.PutDouble(loop_.report_threshold);
-    out.PutDouble(loop_.report_last);
-    out.PutDouble(loop_.sched_threshold);
-    out.PutDouble(loop_.sched_last);
-    out.PutDouble(loop_.autoscale_threshold);
-    out.PutDouble(loop_.autoscale_last);
-    out.PutDouble(loop_.ckpt_threshold);
-    out.PutDouble(loop_.ckpt_last);
-    out.PutU64(loop_.engine_events);
-    sections[kTagLoop] = out.str();
-  }
+  });
+  scheduler_->SaveState(&sections[kTagScheduler]);
+  // Both cluster copies. The section is written even for flat runs (two false
+  // flags) so save -> load -> save is byte-identical; it matters after an
+  // autoscale resize, where the annotation vectors no longer match the
+  // construction-time options.
+  encode(kTagTopology, [this](BinWriter& out) {
+    TopologyFields(out, cluster_);
+    TopologyFields(out, base_cluster_);
+  });
+  encode(kTagResult, [this](BinWriter& out) { ResultFields(out, result_); });
+  encode(kTagLoop, [this](BinWriter& out) { LoopFields(out); });
 
   SnapshotMeta meta;
   meta.sim_time = loop_.now;
@@ -1697,20 +1641,13 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
 
   {
     BinReader in(sections[kTagSimCore]);
-    const uint64_t seed = in.GetU64();
-    const double tick = in.GetDouble();
-    const uint64_t trace_size = in.GetU64();
-    if (!in.ok() || seed != options_.seed || tick != options_.tick || trace_size != trace_.size()) {
+    const RunEcho echo = in.Get<RunEcho>();
+    if (!in.ok() || !(echo == RunEcho{options_.seed, options_.tick, trace_.size()})) {
       return LoadFail(error, path,
                       "snapshot was written under an incompatible run configuration "
                       "(seed/tick/trace mismatch)");
     }
-    cluster_.gpus_per_node = in.GetIntVec();
-    base_cluster_.gpus_per_node = in.GetIntVec();
-    rng_.SetState(GetRngState(in));
-    next_submission_ = static_cast<size_t>(in.GetU64());
-    checked_events_ = static_cast<size_t>(in.GetU64());
-    max_event_time_ = in.GetDouble();
+    CoreFields(in);
     if (!in.ok() || !in.AtEnd() || next_submission_ > trace_.size()) {
       return LoadFail(error, path, "malformed core section");
     }
@@ -1718,7 +1655,8 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
 
   {
     BinReader in(sections[kTagJobs]);
-    const uint64_t count = in.GetU64();
+    uint64_t count = 0;
+    in.Count(count, kUncapped, 8);  // Each job starts with its u64 id.
     if (!in.ok() || count != next_submission_) {
       return LoadFail(error, path, "job count does not match the submission cursor");
     }
@@ -1728,37 +1666,13 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
     }
     jobs_.clear();
     for (uint64_t i = 0; i < count && in.ok(); ++i) {
-      const uint64_t job_id = in.GetU64();
       const JobSpec& spec = trace_[static_cast<size_t>(i)];
-      if (spec.job_id != job_id) {
+      if (in.GetU64() != spec.job_id) {
         return LoadFail(error, path, "job order does not match the trace");
       }
       auto job = std::make_unique<Job>(spec, GetModelProfile(spec.model),
                                        scheduler_->adapts_batch_size(), Rng(0), agent_config);
-      job->agent.SetState(GetAgentState(in));
-      job->rng.SetState(GetRngState(in));
-      job->alloc = in.GetIntVec();
-      job->placement = PlacementOf(job->alloc);
-      job->batch = static_cast<long>(in.GetI64());
-      job->progress = in.GetDouble();
-      job->finished = in.GetBool();
-      job->restart_until = in.GetDouble();
-      job->start_time = in.GetDouble();
-      job->finish_time = in.GetDouble();
-      job->gpu_time = in.GetDouble();
-      job->restarts = static_cast<int>(in.GetI64());
-      job->evictions = static_cast<int>(in.GetI64());
-      job->restart_failures = static_cast<int>(in.GetI64());
-      job->backoff_seconds = in.GetDouble();
-      job->has_report = in.GetBool();
-      job->last_report_time = in.GetDouble();
-      job->report = GetAgentReport(in);
-      job->report_seq = in.GetU64();
-      job->decision_seq = in.GetU64();
-      job->run_seconds = in.GetDouble();
-      job->eff_integral = in.GetDouble();
-      job->tput_integral = in.GetDouble();
-      job->goodput_integral = in.GetDouble();
+      JobFields(in, *job);
       jobs_.push_back(std::move(job));
     }
     if (!in.ok() || !in.AtEnd()) {
@@ -1772,34 +1686,18 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
     }
   }
 
-  {
-    BinReader in(sections[kTagTopology]);
-    const auto get_topology = [&in](ClusterSpec* cluster) {
-      if (in.GetBool()) {
-        cluster->rack_link_factor = in.GetDouble();
-        cluster->rack_of_node = in.GetIntVec();
-        cluster->gpu_type_of_node = in.GetIntVec();
-        const uint64_t scales = in.GetU64();
-        if (scales > (uint64_t{1} << 20)) {
-          in.MarkBad();
-          return;
-        }
-        cluster->node_gpu_scale.clear();
-        for (uint64_t n = 0; n < scales && in.ok(); ++n) {
-          cluster->node_gpu_scale.push_back(in.GetDouble());
-        }
-      } else {
-        cluster->rack_link_factor = 1.0;
-        cluster->rack_of_node.clear();
-        cluster->gpu_type_of_node.clear();
-        cluster->node_gpu_scale.clear();
-      }
-    };
-    get_topology(&cluster_);
-    get_topology(&base_cluster_);
-    if (!in.ok() || !in.AtEnd()) {
-      return LoadFail(error, path, "malformed topology section");
-    }
+  // Runs a section's field list; true when it decoded the whole payload.
+  const auto decode = [&sections](uint32_t tag, const auto& fields) {
+    BinReader in(sections[tag]);
+    fields(in);
+    return in.ok() && in.AtEnd();
+  };
+  const bool topology_ok = decode(kTagTopology, [this](BinReader& in) {
+    TopologyFields(in, cluster_);
+    TopologyFields(in, base_cluster_);
+  });
+  if (!topology_ok) {
+    return LoadFail(error, path, "malformed topology section");
   }
 
   {
@@ -1810,23 +1708,7 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
     }
     if (present) {
       FaultInjector::State state;
-      state.report_rng = GetRngState(in);
-      state.restart_rng = GetRngState(in);
-      state.sched_rng = GetRngState(in);
-      state.next_sched_crash = in.GetDouble();
-      const uint64_t nodes = in.GetU64();
-      if (!in.ok() || nodes > (uint64_t{1} << 20)) {
-        return LoadFail(error, path, "malformed fault section");
-      }
-      for (uint64_t n = 0; n < nodes && in.ok(); ++n) {
-        FaultInjector::State::Node node;
-        node.rng = GetRngState(in);
-        node.failed = in.GetBool();
-        node.straggler = in.GetBool();
-        node.next_transition = in.GetDouble();
-        state.nodes.push_back(node);
-      }
-      state.nodes_created = in.GetU64();
+      Fields(in, state);
       if (!in.ok() || !in.AtEnd()) {
         return LoadFail(error, path, "malformed fault section");
       }
@@ -1842,88 +1724,7 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
     }
     if (present) {
       NetModel::State state;
-      const auto get_channels = [&in](std::vector<NetModel::State::Channel>* channels) {
-        const uint64_t count = in.GetU64();
-        if (count > (uint64_t{1} << 24)) {
-          return false;
-        }
-        for (uint64_t i = 0; i < count && in.ok(); ++i) {
-          NetModel::State::Channel channel;
-          channel.job_id = in.GetU64();
-          channel.rng = GetRngState(in);
-          channel.burst_until = in.GetDouble();
-          channel.next_seq = in.GetU64();
-          channels->push_back(std::move(channel));
-        }
-        return in.ok();
-      };
-      const auto get_tracks = [&in](std::vector<NetModel::State::Track>* tracks) {
-        const uint64_t count = in.GetU64();
-        if (count > (uint64_t{1} << 20)) {
-          return false;
-        }
-        for (uint64_t i = 0; i < count && in.ok(); ++i) {
-          NetModel::State::Track track;
-          track.rng = GetRngState(in);
-          track.head_down = in.GetBool();
-          track.tail_time = in.GetDouble();
-          const uint64_t pending = in.GetU64();
-          if (pending > (uint64_t{1} << 24)) {
-            return false;
-          }
-          for (uint64_t p = 0; p < pending && in.ok(); ++p) {
-            track.pending.push_back(in.GetDouble());
-          }
-          tracks->push_back(std::move(track));
-        }
-        return in.ok();
-      };
-      if (!get_channels(&state.report_channels) || !get_channels(&state.decision_channels) ||
-          !get_tracks(&state.node_tracks) || !get_tracks(&state.rack_tracks)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      const uint64_t messages = in.GetU64();
-      if (!in.ok() || messages > (uint64_t{1} << 24)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      for (uint64_t i = 0; i < messages && in.ok(); ++i) {
-        NetModel::Message message;
-        const uint32_t kind = in.GetU32();
-        if (kind > static_cast<uint32_t>(NetModel::MsgKind::kHeartbeat)) {
-          return LoadFail(error, path, "unknown message kind in snapshot");
-        }
-        message.kind = static_cast<NetModel::MsgKind>(kind);
-        message.deliver_at = in.GetDouble();
-        message.seq = in.GetU64();
-        message.job_id = in.GetU64();
-        message.node = static_cast<int>(in.GetI64());
-        message.payload_seq = in.GetU64();
-        message.sent_at = in.GetDouble();
-        message.report = GetAgentReport(in);
-        message.row = in.GetIntVec();
-        state.messages.push_back(std::move(message));
-      }
-      state.next_msg_seq = in.GetU64();
-      state.node_tracks_created = in.GetU64();
-      state.rack_tracks_created = in.GetU64();
-      const uint64_t heard = in.GetU64();
-      if (!in.ok() || heard > (uint64_t{1} << 20)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      last_heard_.clear();
-      for (uint64_t n = 0; n < heard && in.ok(); ++n) {
-        last_heard_.push_back(in.GetDouble());
-      }
-      const uint64_t partitions = in.GetU64();
-      if (!in.ok() || partitions > (uint64_t{1} << 20)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      partition_started_.clear();
-      for (uint64_t i = 0; i < partitions && in.ok(); ++i) {
-        const int rack = static_cast<int>(in.GetU32());
-        const int index = static_cast<int>(in.GetI64());
-        partition_started_[{rack, index}] = in.GetDouble();
-      }
+      NetFields(in, state);
       if (!in.ok() || !in.AtEnd()) {
         return LoadFail(error, path, "malformed network section");
       }
@@ -1937,59 +1738,11 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
                         "' rejected the snapshot's control-plane state");
   }
 
-  {
-    BinReader in(sections[kTagResult]);
-    const uint64_t events = in.GetU64();
-    result_.events.clear();
-    for (uint64_t i = 0; i < events && in.ok(); ++i) {
-      SimEvent event;
-      event.time = in.GetDouble();
-      const uint32_t kind = in.GetU32();
-      if (kind > static_cast<uint32_t>(SimEventKind::kDecisionBounce)) {
-        return LoadFail(error, path, "unknown event kind in snapshot");
-      }
-      event.kind = static_cast<SimEventKind>(kind);
-      event.job_id = in.GetU64();
-      event.gpus = static_cast<int>(in.GetI64());
-      event.nodes = static_cast<int>(in.GetI64());
-      result_.events.push_back(event);
-    }
-    const uint64_t samples = in.GetU64();
-    result_.timeline.clear();
-    for (uint64_t i = 0; i < samples && in.ok(); ++i) {
-      ClusterSample sample;
-      sample.time = in.GetDouble();
-      sample.nodes = static_cast<int>(in.GetI64());
-      sample.total_gpus = static_cast<int>(in.GetI64());
-      sample.gpus_in_use = static_cast<int>(in.GetI64());
-      sample.running_jobs = static_cast<int>(in.GetI64());
-      sample.mean_efficiency = in.GetDouble();
-      sample.utility = in.GetDouble();
-      sample.max_batch_size = static_cast<long>(in.GetI64());
-      result_.timeline.push_back(sample);
-    }
-    result_.node_seconds = in.GetDouble();
-    if (!in.ok() || !in.AtEnd()) {
-      return LoadFail(error, path, "malformed result section");
-    }
+  if (!decode(kTagResult, [this](BinReader& in) { ResultFields(in, result_); })) {
+    return LoadFail(error, path, "malformed result section");
   }
-
-  {
-    BinReader in(sections[kTagLoop]);
-    loop_.valid = in.GetBool();
-    loop_.now = in.GetDouble();
-    loop_.report_threshold = in.GetDouble();
-    loop_.report_last = in.GetDouble();
-    loop_.sched_threshold = in.GetDouble();
-    loop_.sched_last = in.GetDouble();
-    loop_.autoscale_threshold = in.GetDouble();
-    loop_.autoscale_last = in.GetDouble();
-    loop_.ckpt_threshold = in.GetDouble();
-    loop_.ckpt_last = in.GetDouble();
-    loop_.engine_events = in.GetU64();
-    if (!in.ok() || !in.AtEnd()) {
-      return LoadFail(error, path, "malformed loop section");
-    }
+  if (!decode(kTagLoop, [this](BinReader& in) { LoopFields(in); })) {
+    return LoadFail(error, path, "malformed loop section");
   }
 
   if (obs::MetricsRegistry::Global().enabled()) {

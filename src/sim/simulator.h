@@ -278,6 +278,17 @@ class Simulator {
   // Periodic checkpoint write into options_.checkpoint_dir; failures are
   // logged and the run continues (a missed checkpoint is not fatal).
   void WritePeriodicSnapshot(double now);
+  // Field lists of the snapshot sections that hold private state (DESIGN.md
+  // §11): SaveSnapshot runs them through a BinWriter, LoadSnapshot through a
+  // BinReader.
+  template <class Io>
+  void CoreFields(Io& io);
+  template <class Io>
+  static void JobFields(Io& io, Job& job);
+  template <class Io>
+  void NetFields(Io& io, NetModel::State& state);
+  template <class Io>
+  void LoopFields(Io& io);
 
   SimOptions options_;
   // The scheduler-visible cluster: crashed nodes have their capacity masked

@@ -332,7 +332,7 @@ TEST(ScheddDaemonTest, MalformedPayloadsKeepTheConnection) {
     AgentReport agent = MakeAgent(1, std::numeric_limits<double>::quiet_NaN());
     BinWriter out;
     out.PutU64(1);
-    PutAgentReport(out, agent);
+    out.Put(agent);
     out.PutDouble(0.0);
     reply = client.Call(kMsgSubmitJob, out.str());
     ASSERT_TRUE(reply.ok) << reply.error;
@@ -342,7 +342,7 @@ TEST(ScheddDaemonTest, MalformedPayloadsKeepTheConnection) {
                           -std::numeric_limits<double>::infinity()}) {
     BinWriter out;
     out.PutU64(1);
-    PutAgentReport(out, MakeAgent(1));
+    out.Put(MakeAgent(1));
     out.PutDouble(gpu_time);
     reply = client.Call(kMsgSubmitJob, out.str());
     ASSERT_TRUE(reply.ok) << reply.error;
@@ -356,7 +356,7 @@ TEST(ScheddDaemonTest, MalformedPayloadsKeepTheConnection) {
     BinWriter out;
     out.PutU64(1);
     out.PutU64(1);
-    PutSchedJobReport(out, report);
+    out.Put(report);
     reply = client.Call(kMsgReport, out.str());
     ASSERT_TRUE(reply.ok) << reply.error;
     EXPECT_EQ(RawErrCode(reply), static_cast<uint32_t>(kErrMalformedPayload));
@@ -402,7 +402,7 @@ TEST(ScheddDaemonTest, DrainNacksTenantWorkButAnswersPing) {
   // Tenant-scoped work now draws a retryable NACK(draining)...
   BinWriter out;
   out.PutU64(1);
-  PutAgentReport(out, MakeAgent(5));
+  out.Put(MakeAgent(5));
   out.PutDouble(0.0);
   auto reply = client.Call(kMsgSubmitJob, out.str());
   ASSERT_TRUE(reply.ok) << reply.error;

@@ -266,21 +266,21 @@ TEST(TenantSetupTest, RejectsNonFiniteReportDoubles) {
 
       BinWriter batch;
       batch.PutU64(1);
-      PutSchedJobReport(batch, report);
+      batch.Put(report);
       const std::string payload = decode_frame(kMsgReport, batch.str());
       BinReader in(payload);
       ASSERT_EQ(in.GetU64(), 1u);
-      GetSchedJobReport(in);
+      in.Get<SchedJobReport>();
       EXPECT_FALSE(in.ok()) << "report field " << f << " = " << value;
 
       if (f <= kGpuTimeField) {
         // The SubmitJob payload: an AgentReport, then gpu_time.
         BinWriter submit;
-        PutAgentReport(submit, report.agent);
+        submit.Put(report.agent);
         submit.PutDouble(report.gpu_time);
         const std::string submit_payload = decode_frame(kMsgSubmitJob, submit.str());
         BinReader submit_in(submit_payload);
-        GetAgentReport(submit_in);
+        submit_in.Get<AgentReport>();
         submit_in.GetFiniteDouble();
         EXPECT_FALSE(submit_in.ok()) << "submit field " << f << " = " << value;
       }
@@ -375,6 +375,62 @@ TEST(TenantDomainTest, MalformedSnapshotsRejectedCleanly) {
         << "prefix " << len;
   }
   EXPECT_EQ(TenantDomain::FromSnapshot(snapshot + "extra", &error), nullptr);
+}
+
+// 64-bit FNV-1a of `bytes`, as 16 hex digits.
+std::string Fnv1aHex(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash = (hash ^ c) * 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+// Digests of a topology-annotated tenant's snapshot after three rounds, one
+// per scheduling mode, recorded from the hand-written codecs the field lists
+// replaced. Daemons restore these bytes across upgrades.
+TEST(TenantDomainTest, SnapshotEncodingMatchesRecordedGoldens) {
+  const std::pair<SchedMode, const char*> goldens[] = {
+      {SchedMode::kExact, "5018f9a221ee78e0"},
+      {SchedMode::kIncremental, "d847e58c11b8cda4"},
+      {SchedMode::kFirstMatch, "9ad06369d04bd957"},
+  };
+  for (const auto& [mode, digest] : goldens) {
+    TenantSetup setup = MakeSetup(9, mode);
+    setup.cluster.rack_of_node = {0, 0, 1, 1};
+    setup.cluster.gpu_type_of_node = {0, 0, 1, 1};
+    setup.cluster.node_gpu_scale = {1.0, 1.0, 0.5, 0.5};
+    setup.cluster.rack_link_factor = 2.0;
+    TenantDomain domain(setup);
+    Drive(domain, 3);
+    EXPECT_EQ(Fnv1aHex(domain.EncodeSnapshot()), digest) << SchedModeName(mode);
+  }
+}
+
+// A tenant snapshot that declares one 2^20 x 2^20 GA population matrix and
+// then ends: refused before anything is sized from the declared shape.
+TEST(TenantDomainTest, HugePopulationMatrixIsRejected) {
+  BinWriter out;
+  out.PutU32(kTenantSnapshotVersion);
+  out.PutU64(1);
+  PutTenantSetup(out, MakeSetup(1));
+  out.PutU64(0);       // next_round
+  out.PutBool(false);  // no cached round
+  out.PutU64(0);       // no jobs
+  // GA state: Rng words, cached normal and its flag, no last job ids, then a
+  // population of one matrix whose shape is all that follows.
+  for (int word = 0; word < 4; ++word) out.PutU64(1);
+  out.PutDouble(0.0);
+  out.PutBool(false);
+  out.PutU64(0);
+  out.PutU64(1);
+  out.PutU64(uint64_t{1} << 20);
+  out.PutU64(uint64_t{1} << 20);
+  std::string error;
+  EXPECT_EQ(TenantDomain::FromSnapshot(out.str(), &error), nullptr);
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(TenantDomainTest, CheckpointRestoreNewestFallsBackPastCorruption) {

@@ -3,9 +3,10 @@
 // (policy x fault-profile x seed) combination, snapshots round-trip through
 // save -> load -> save bit-exactly, torn/corrupt/future-version snapshots
 // are detected with clear errors and fall back to the previous snapshot,
-// snapshots in a pre-v4 loop layout are refused, cold scheduler recovery
-// completes every job, and the bench-config codec embedded in each snapshot
-// round-trips every run-defining knob.
+// snapshots in a pre-v4 loop layout are refused, a recorded digest pins the
+// byte format, CRC-valid hostile payloads (huge counts, NaN topology) fail
+// cleanly, cold scheduler recovery completes every job, and the bench-config
+// codec embedded in each snapshot round-trips every run-defining knob.
 
 #include <gtest/gtest.h>
 
@@ -406,6 +407,136 @@ TEST(CorruptSnapshotTest, PreV4SimulatorSnapshotIsRejectedWithClearError) {
   EXPECT_FALSE(sim.LoadSnapshot(fixture.snapshots.front(), &error));
   EXPECT_NE(error.find("version 3 predates"), std::string::npos) << error;
   std::filesystem::remove_all(fixture.dir);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot byte format: a recorded golden and CRC-valid hostile payloads.
+// ---------------------------------------------------------------------------
+
+// 64-bit FNV-1a of `bytes`, as 16 hex digits.
+std::string Fnv1aHex(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash = (hash ^ c) * 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+// A run whose snapshot has every section non-empty: the pollux policy in
+// incremental mode (GA state, cached reports, per-job snapshots), heavy
+// faults, a flaky control-plane network, and two racks of four nodes with a
+// GPU mix.
+BenchSimConfig EverySectionConfig() {
+  BenchSimConfig config;
+  config.jobs = 20;
+  config.duration_hours = 1.0;
+  config.seed = 3;
+  config.racks = 2;
+  config.nodes = 8;
+  config.gpu_mix = "a100:0.5,t4:0.5";
+  config.sched_mode = SchedMode::kIncremental;
+  config.ga_population = 12;
+  config.ga_generations = 6;
+  EXPECT_TRUE(FaultProfileByName("heavy", &config.faults));
+  EXPECT_TRUE(NetProfileByName("flaky", &config.net));
+  return config;
+}
+
+// Runs EverySectionConfig() to its t=600 snapshot in `dir` and returns the path.
+std::string WriteEverySectionSnapshot(const std::string& dir) {
+  BenchSimConfig config = EverySectionConfig();
+  config.checkpoint_every = 600.0;
+  config.checkpoint_dir = dir;
+  config.halt_after_checkpoint = 600.0;
+  EXPECT_TRUE(RunImportedTrace("pollux", config, MakeBenchTrace(config)).halted);
+  const std::vector<std::string> files = ListSnapshotFiles(dir);
+  EXPECT_EQ(files.size(), 1u);
+  return files.empty() ? std::string() : files.front();
+}
+
+// Digest of that snapshot, recorded from the hand-written codecs the field
+// lists replaced. A change here means the version 4 layout moved, and
+// snapshots written by older builds no longer resume.
+constexpr char kEverySectionSnapshotDigest[] = "b1764d79d80e63e0";
+
+TEST(SnapshotGoldenTest, EverySectionSnapshotMatchesRecordedDigest) {
+  const std::string dir = FreshDir("ckpt_golden");
+  const std::string path = WriteEverySectionSnapshot(dir);
+  ASSERT_FALSE(path.empty());
+  std::map<uint32_t, std::string> sections;
+  std::string error;
+  ASSERT_TRUE(ReadSnapshotFile(path, &sections, &error)) << error;
+  for (const auto& [tag, payload] : sections) {
+    EXPECT_GT(payload.size(), 4u) << "section " << tag;
+  }
+  EXPECT_EQ(Fnv1aHex(ReadFileBytes(path)), kEverySectionSnapshotDigest);
+  std::filesystem::remove_all(dir);
+}
+
+// Re-seals `sections` (CRC included) into `path` after a payload edit.
+void RewriteSections(const std::string& path, const std::map<uint32_t, std::string>& sections) {
+  std::string error;
+  ASSERT_TRUE(WriteSnapshotFile(path, sections, SnapshotMeta{}, &error)) << error;
+}
+
+void OverwriteBytes(std::string* payload, size_t offset, const void* bytes, size_t size) {
+  ASSERT_LE(offset + size, payload->size());
+  std::memcpy(payload->data() + offset, bytes, size);
+}
+
+TEST(CorruptSnapshotTest, HugeAgentObservationCountIsRejected) {
+  const std::string dir = FreshDir("ckpt_huge_count");
+  const std::string path = WriteEverySectionSnapshot(dir);
+  std::map<uint32_t, std::string> sections;
+  std::string error;
+  ASSERT_TRUE(ReadSnapshotFile(path, &sections, &error)) << error;
+  // kTagJobs: u64 job count, u64 first job id, then the first agent's u64
+  // observation count (little-endian).
+  for (const uint64_t count : {uint64_t{1} << 62, uint64_t{1} << 40}) {
+    std::map<uint32_t, std::string> hostile = sections;
+    OverwriteBytes(&hostile[kTagJobs], 16, &count, sizeof(count));
+    RewriteSections(path, hostile);
+    SimResult resumed;
+    std::string policy;
+    error.clear();
+    EXPECT_FALSE(ResumeBenchFromSnapshot(path, BenchSimConfig{}, &resumed, &policy, &error))
+        << "count " << count;
+    EXPECT_NE(error.find("malformed job section"), std::string::npos) << error;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorruptSnapshotTest, NonFiniteTopologyScaleIsRejected) {
+  const std::string dir = FreshDir("ckpt_nan_scale");
+  const std::string path = WriteEverySectionSnapshot(dir);
+  std::map<uint32_t, std::string> sections;
+  std::string error;
+  ASSERT_TRUE(ReadSnapshotFile(path, &sections, &error)) << error;
+  const double nan = std::nan("");
+  // kTagTopology, per cluster copy: bool annotated, f64 rack_link_factor,
+  // IntVec rack_of_node, IntVec gpu_type_of_node, u64 n, n x f64 scale.
+  const size_t nodes = 8;
+  const size_t per_cluster = 4 + 8 + 2 * (8 + 8 * nodes) + 8 + 8 * nodes;
+  ASSERT_EQ(sections[kTagTopology].size(), 2 * per_cluster);
+  // The PolluxPolicy blob ends with the node scales and the rack link factor.
+  const size_t blob_size = sections[kTagScheduler].size();
+  const std::pair<uint32_t, size_t> targets[] = {
+      {kTagTopology, per_cluster - 8},
+      {kTagScheduler, blob_size - 16},
+  };
+  for (const auto& [tag, offset] : targets) {
+    std::map<uint32_t, std::string> hostile = sections;
+    OverwriteBytes(&hostile[tag], offset, &nan, sizeof(nan));
+    RewriteSections(path, hostile);
+    SimResult resumed;
+    std::string policy;
+    error.clear();
+    EXPECT_FALSE(ResumeBenchFromSnapshot(path, BenchSimConfig{}, &resumed, &policy, &error))
+        << "section " << tag;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
