@@ -69,21 +69,41 @@ void SeedGradParams(const std::vector<ThroughputObservation>& observations, doub
   }
 }
 
-}  // namespace
+// log(iter_time + kLogEpsilon) per observation: the data side of the RMSLE,
+// which a fit takes once instead of once per objective evaluation.
+std::vector<double> LogIterTimes(const std::vector<ThroughputObservation>& observations) {
+  std::vector<double> logs;
+  logs.reserve(observations.size());
+  for (const auto& obs : observations) {
+    logs.push_back(std::log(obs.iter_time + kLogEpsilon));
+  }
+  return logs;
+}
 
-double ThroughputRmsle(const ThroughputParams& params,
-                       const std::vector<ThroughputObservation>& observations) {
+// The one RMSLE loop, against precomputed LogIterTimes. ThroughputRmsle and
+// the fitter's objective both run it.
+double RmsleAgainstLogs(const ThroughputParams& params,
+                        const std::vector<ThroughputObservation>& observations,
+                        const std::vector<double>& log_iter_times) {
   if (observations.empty()) {
     return 0.0;
   }
   double total = 0.0;
-  for (const auto& obs : observations) {
+  for (size_t i = 0; i < observations.size(); ++i) {
+    const ThroughputObservation& obs = observations[i];
     const double predicted =
         IterTime(params, obs.placement, static_cast<double>(obs.batch_size));
-    const double diff = std::log(predicted + kLogEpsilon) - std::log(obs.iter_time + kLogEpsilon);
+    const double diff = std::log(predicted + kLogEpsilon) - log_iter_times[i];
     total += diff * diff;
   }
   return std::sqrt(total / static_cast<double>(observations.size()));
+}
+
+}  // namespace
+
+double ThroughputRmsle(const ThroughputParams& params,
+                       const std::vector<ThroughputObservation>& observations) {
+  return RmsleAgainstLogs(params, observations, LogIterTimes(observations));
 }
 
 namespace {
@@ -135,8 +155,9 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
   // time (e.g. all observations share one GPU count): ties break toward
   // compute, keeping extrapolations to other GPU counts sane.
   constexpr double kSyncRidge = 1e-3;
+  const std::vector<double> log_iter_times = LogIterTimes(observations);
   problem.objective = [&](const std::vector<double>& x) {
-    return ThroughputRmsle(UnpackParams(x), observations) +
+    return RmsleAgainstLogs(UnpackParams(x), observations, log_iter_times) +
            kSyncRidge * (x[2] + x[3] + x[4] + x[5]);
   };
 

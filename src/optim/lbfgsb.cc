@@ -55,7 +55,7 @@ std::vector<double> ProjectToBox(std::vector<double> x, const std::vector<double
 }
 
 std::vector<double> FiniteDifferenceGradient(const Objective& f, const std::vector<double>& x,
-                                             const std::vector<double>& lower,
+                                             double fx, const std::vector<double>& lower,
                                              const std::vector<double>& upper, double epsilon) {
   std::vector<double> grad(x.size(), 0.0);
   std::vector<double> probe = x;
@@ -81,12 +81,12 @@ std::vector<double> FiniteDifferenceGradient(const Objective& f, const std::vect
       }
       probe[i] = x[i] + h;
       const double f_plus = f(probe);
-      grad[i] = (f_plus - f(x)) / h;
+      grad[i] = (f_plus - fx) / h;
     } else {
       h = std::min(h, room_down);
       probe[i] = x[i] - h;
       const double f_minus = f(probe);
-      grad[i] = (f(x) - f_minus) / h;
+      grad[i] = (fx - f_minus) / h;
     }
     probe[i] = x[i];
   }
@@ -99,22 +99,23 @@ LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<do
   LbfgsbResult result;
   result.x = ProjectToBox(x0, problem.lower, problem.upper);
 
+  // Every objective call, including the finite-difference probes, goes
+  // through eval_f, so `evaluations` counts the calls actually made.
   int evaluations = 0;
-  auto eval_f = [&](const std::vector<double>& x) {
+  const Objective eval_f = [&](const std::vector<double>& x) {
     ++evaluations;
     return problem.objective(x);
   };
-  auto eval_g = [&](const std::vector<double>& x) {
+  auto eval_g = [&](const std::vector<double>& x, double fx) {
     if (problem.gradient) {
       return problem.gradient(x);
     }
-    evaluations += static_cast<int>(2 * n);
-    return FiniteDifferenceGradient(problem.objective, x, problem.lower, problem.upper,
+    return FiniteDifferenceGradient(eval_f, x, fx, problem.lower, problem.upper,
                                     options.fd_epsilon);
   };
 
   double f = eval_f(result.x);
-  std::vector<double> g = eval_g(result.x);
+  std::vector<double> g = eval_g(result.x, f);
   std::deque<CurvaturePair> pairs;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -253,7 +254,7 @@ LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<do
       break;
     }
 
-    std::vector<double> g_new = eval_g(x_new);
+    std::vector<double> g_new = eval_g(x_new, f_new);
     CurvaturePair pair;
     pair.s.resize(n);
     pair.y.resize(n);

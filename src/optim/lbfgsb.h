@@ -56,6 +56,7 @@ struct LbfgsbResult {
   std::vector<double> x;
   double value = 0.0;
   int iterations = 0;
+  // Objective calls made, finite-difference probes included.
   int evaluations = 0;
   bool converged = false;
 };
@@ -65,9 +66,12 @@ std::vector<double> ProjectToBox(std::vector<double> x, const std::vector<double
                                  const std::vector<double>& upper);
 
 // Central finite-difference gradient of `f` at `x`, with steps shrunk near the
-// box boundary so evaluation points stay feasible.
+// box boundary so evaluation points stay feasible. `fx` is f(x), which the
+// one-sided differences at a bound reuse instead of re-evaluating. Calls `f`
+// twice per interior coordinate, once per coordinate near a bound, and never
+// for a coordinate pinned with no room on either side.
 std::vector<double> FiniteDifferenceGradient(const Objective& f, const std::vector<double>& x,
-                                             const std::vector<double>& lower,
+                                             double fx, const std::vector<double>& lower,
                                              const std::vector<double>& upper, double epsilon);
 
 // Minimizes the problem starting from x0 (projected into the box first).

@@ -223,7 +223,9 @@ Simulator::Simulator(SimOptions options, std::vector<JobSpec> trace, Scheduler* 
       scheduler_(scheduler),
       autoscaler_(autoscaler),
       rng_(options_.seed),
-      trace_(std::move(trace)) {
+      trace_(std::move(trace)),
+      refresh_pool_(std::make_unique<ThreadPool>(
+          options_.sched_threads <= 0 ? -1 : options_.sched_threads)) {
   std::sort(trace_.begin(), trace_.end(),
             [](const JobSpec& a, const JobSpec& b) { return a.submit_time < b.submit_time; });
   if (options_.faults.enabled()) {
@@ -303,12 +305,38 @@ void Simulator::RefreshReports(double now) {
   TRACE_SCOPE("sim.refresh_reports");
   const bool metrics_on = obs::MetricsRegistry::Global().enabled();
   CompactActive();
-  for (size_t active_idx : active_) {
-    Job* const job = jobs_[active_idx].get();
+
+  // Per-job phase: reads and writes only the job's own agent and Job (each
+  // fit seeds its Rng from agent-local state), so slots run in any order on
+  // any thread.
+  const bool adapts_batch = scheduler_->adapts_batch_size();
+  const bool throughput_only = scheduler_->throughput_only_batch();
+  fresh_reports_.resize(active_.size());
+  const auto refresh_job = [&](size_t slot) {
+    Job& job = *jobs_[active_[slot]];
+    fresh_reports_[slot] = job.agent.MakeReport();
+    if (adapts_batch && job.placement.num_gpus > 0) {
+      if (throughput_only) {
+        // Or et al.: throughput increases with batch size, so the largest
+        // feasible batch is "optimal" under a throughput-only model.
+        job.batch = job.agent.limits().MaxFeasible(job.placement.num_gpus);
+      } else {
+        const auto choice = job.agent.TuneBatchSize(job.placement);
+        if (choice.batch_size > 0) {
+          job.batch = choice.batch_size;
+        }
+      }
+    }
+  };
+  refresh_pool_->ParallelFor(0, active_.size(), refresh_job);
+
+  // Serial phase, in active order: every shared RNG draw and Emit.
+  for (size_t slot = 0; slot < active_.size(); ++slot) {
+    Job* const job = jobs_[active_[slot]].get();
+    AgentReport& fresh = fresh_reports_[slot];
     // The agent always refreshes locally; the *delivery* to the scheduler
     // can be lost. A dropped report leaves the scheduler holding the
     // previous one, whose age keeps growing.
-    AgentReport fresh = job->agent.MakeReport();
     const bool dropped = faults_ != nullptr && options_.faults.report_drop_rate > 0.0 &&
                          faults_->DropReport();
     if (dropped) {
@@ -338,18 +366,6 @@ void Simulator::RefreshReports(double now) {
       job->report = std::move(fresh);
       job->has_report = true;
       job->last_report_time = now;
-    }
-    if (scheduler_->adapts_batch_size() && job->placement.num_gpus > 0) {
-      if (scheduler_->throughput_only_batch()) {
-        // Or et al.: throughput increases with batch size, so the largest
-        // feasible batch is "optimal" under a throughput-only model.
-        job->batch = job->agent.limits().MaxFeasible(job->placement.num_gpus);
-      } else {
-        const auto choice = job->agent.TuneBatchSize(job->placement);
-        if (choice.batch_size > 0) {
-          job->batch = choice.batch_size;
-        }
-      }
     }
   }
   if (net_ != nullptr) {

@@ -31,6 +31,7 @@
 #include "sim/scheduler.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 #include "workload/trace_gen.h"
 
 namespace pollux {
@@ -46,9 +47,11 @@ struct SimOptions {
   double gns_noise = 0.10;             // Lognormal sigma on gradient moments.
   double max_time = 14.0 * 24.0 * 3600.0;
   uint64_t seed = 1;
-  // Worker threads the scheduling policy may use per round (Pollux policies
-  // forward this to GaOptions::threads; the simulated outcome is identical
-  // for every value). 1 = single-threaded, 0 = hardware concurrency.
+  // Width of the simulator's report-refresh pool: the agents' theta_sys
+  // fits and batch-size tuning for the jobs due a report run on this many
+  // threads. The simulated outcome is identical for every value. The
+  // scheduling policy's own threads are configured separately (e.g.
+  // GaOptions::threads). 1 = single-threaded, 0 = hardware concurrency.
   int sched_threads = 1;
 
   // Cloud autoscaling (Fig. 10): when an autoscaler is attached, the cluster
@@ -216,6 +219,10 @@ class Simulator {
   struct Job;
 
   void ActivateSubmissions(double now);
+  // Two phases. The per-job phase (MakeReport and the batch-size update,
+  // agent- and job-local) runs on refresh_pool_; the serial phase (report
+  // drops, net sends, Emit, report delivery) walks the jobs in active order,
+  // so every shared RNG draw and event keeps its order at any pool width.
   void RefreshReports(double now);
   // Control-plane network hooks (no-ops when net_ is null): partition
   // transitions + due message deliveries (reports, decisions, heartbeats),
@@ -318,6 +325,10 @@ class Simulator {
   // 10^5-job hyperscale traces. Mutable: const readers (AllJobsFinished)
   // compact too.
   mutable std::vector<size_t> active_;
+  // RefreshReports' per-job phase: the pool (width options_.sched_threads)
+  // and one fresh report slot per active job, reused across refreshes.
+  std::unique_ptr<ThreadPool> refresh_pool_;
+  std::vector<AgentReport> fresh_reports_;
   size_t next_submission_ = 0;
   // Invariant-checker cursor into result_.events (only new events are
   // scanned each round) and per-job completion counts.

@@ -64,6 +64,62 @@ TEST(ThroughputRmsleTest, EmptyObservationsAreZero) {
   EXPECT_DOUBLE_EQ(ThroughputRmsle(GroundTruth(), {}), 0.0);
 }
 
+// ThroughputRmsle runs the fitter's kernel, which takes log(iter_time) once
+// per fit. It must return, bit for bit, the plain per-observation formula with
+// both logs taken inside the loop.
+TEST(ThroughputRmsleTest, HoistedKernelIsBitIdentical) {
+  Rng rng(42);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<ThroughputObservation> data(static_cast<size_t>(rng.UniformInt(1, 40)));
+    for (auto& obs : data) {
+      const int k = static_cast<int>(rng.UniformInt(1, 32));
+      obs.placement = Placement{k, k == 1 ? 1 : static_cast<int>(rng.UniformInt(1, 2))};
+      obs.batch_size = rng.UniformInt(16, 4096);
+      obs.iter_time = rng.LogNormal(0.2, 1.5);
+    }
+    ThroughputParams params;
+    params.alpha_grad = rng.Uniform(0.0, 100.0);
+    params.beta_grad = rng.Uniform(1e-8, 10.0);
+    params.alpha_sync_local = rng.Uniform(0.0, 100.0);
+    params.beta_sync_local = rng.Uniform(0.0, 10.0);
+    params.alpha_sync_node = rng.Uniform(0.0, 100.0);
+    params.beta_sync_node = rng.Uniform(0.0, 10.0);
+    params.gamma = rng.Uniform(1.0, 10.0);
+
+    double total = 0.0;
+    for (const auto& obs : data) {
+      const double predicted =
+          IterTime(params, obs.placement, static_cast<double>(obs.batch_size));
+      const double diff = std::log(predicted + 1e-8) - std::log(obs.iter_time + 1e-8);
+      total += diff * diff;
+    }
+    const double reference = std::sqrt(total / static_cast<double>(data.size()));
+
+    EXPECT_EQ(ThroughputRmsle(params, data), reference) << "trial " << trial;
+  }
+}
+
+// One fit pinned to exact bits, recorded with the per-evaluation log kernel,
+// so it also shows that taking log(iter_time) once per fit moved nothing. A
+// change to the kernel or the minimizer that moves fits fails here.
+TEST(ModelFitterTest, PinnedFitIsBitStable) {
+  const auto data = MakeObservations(GroundTruth(), 0.05, 3);
+  FitOptions options;
+  options.max_gpus_seen = 16;
+  options.max_nodes_seen = 2;
+  options.multi_starts = 2;
+  options.seed = 7;
+  const FitResult fit = FitThroughputParams(data, options);
+  EXPECT_EQ(fit.params.alpha_grad, 0x1.36351c612c842p-5);
+  EXPECT_EQ(fit.params.beta_grad, 0x1.313f6c14513a9p-12);
+  EXPECT_EQ(fit.params.alpha_sync_local, 0x1.6fd61874d0967p-6);
+  EXPECT_EQ(fit.params.beta_sync_local, 0x1.c101d515adcd9p-12);
+  EXPECT_EQ(fit.params.alpha_sync_node, 0x1.2bbcb0472bb1p-4);
+  EXPECT_EQ(fit.params.beta_sync_node, 0x1.e2f2780513a44p-9);
+  EXPECT_EQ(fit.params.gamma, 0x1.8285bb7c8af34p+0);
+  EXPECT_EQ(fit.rmsle, 0x1.5c1799732c7p-5);
+}
+
 TEST(ModelFitterTest, RecoversPredictionsFromNoiselessData) {
   const auto truth = GroundTruth();
   const auto data = MakeObservations(truth, 0.0, 1);

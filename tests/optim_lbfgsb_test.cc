@@ -21,7 +21,7 @@ TEST(FiniteDifferenceTest, MatchesAnalyticGradient) {
     return x[0] * x[0] + 3.0 * x[0] * x[1] + 2.0 * x[1] * x[1];
   };
   const std::vector<double> x = {1.5, -2.0};
-  const auto grad = FiniteDifferenceGradient(f, x, {-kInf, -kInf}, {kInf, kInf}, 1e-6);
+  const auto grad = FiniteDifferenceGradient(f, x, f(x), {-kInf, -kInf}, {kInf, kInf}, 1e-6);
   EXPECT_NEAR(grad[0], 2.0 * x[0] + 3.0 * x[1], 1e-5);
   EXPECT_NEAR(grad[1], 3.0 * x[0] + 4.0 * x[1], 1e-5);
 }
@@ -29,8 +29,38 @@ TEST(FiniteDifferenceTest, MatchesAnalyticGradient) {
 TEST(FiniteDifferenceTest, OneSidedAtBoundary) {
   const Objective f = [](const std::vector<double>& x) { return x[0] * x[0]; };
   // x sits exactly on the lower bound; gradient should still be ~2x.
-  const auto grad = FiniteDifferenceGradient(f, {2.0}, {2.0}, {10.0}, 1e-6);
+  const auto grad = FiniteDifferenceGradient(f, {2.0}, 4.0, {2.0}, {10.0}, 1e-6);
   EXPECT_NEAR(grad[0], 4.0, 1e-3);
+}
+
+TEST(FiniteDifferenceTest, CallsObjectiveOnlyForProbes) {
+  int calls = 0;
+  const Objective f = [&calls](const std::vector<double>& x) {
+    ++calls;
+    return x[0] * x[0] + x[1] * x[1] + x[2] * x[2];
+  };
+  // Coordinate 0 is interior (two probes), 1 sits on its lower bound (one
+  // probe, f(x) comes from the caller), 2 is pinned (no probe).
+  const std::vector<double> x = {1.0, 2.0, 3.0};
+  const auto grad = FiniteDifferenceGradient(f, x, 14.0, {-kInf, 2.0, 3.0}, {kInf, 10.0, 3.0}, 1e-6);
+  EXPECT_EQ(calls, 3);
+  EXPECT_NEAR(grad[0], 2.0, 1e-5);
+  EXPECT_NEAR(grad[1], 4.0, 1e-3);
+  EXPECT_EQ(grad[2], 0.0);
+}
+
+TEST(LbfgsbTest, EvaluationsCountObjectiveCalls) {
+  int calls = 0;
+  BoundedProblem problem;
+  problem.lower = {0.0, 0.0, 1.0};
+  problem.upper = {10.0, 10.0, 1.0};
+  problem.objective = [&calls](const std::vector<double>& x) {
+    ++calls;
+    return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0) + x[2];
+  };
+  const auto result = MinimizeBounded(problem, {5.0, 5.0, 1.0});
+  EXPECT_NEAR(result.x[1], 0.0, 1e-6);
+  EXPECT_EQ(result.evaluations, calls);
 }
 
 TEST(LbfgsbTest, QuadraticUnconstrained) {

@@ -13,9 +13,12 @@
 #include "core/agent.h"
 #include "core/model_fitter.h"
 #include "core/sched.h"
+#include "obs/metrics.h"
 #include "sim/fault_injector.h"
+#include "sim/netmodel.h"
 #include "sim/pollux_policy.h"
 #include "sim/simulator.h"
+#include "tests/sim_result_csv.h"
 #include "workload/trace_gen.h"
 
 namespace pollux {
@@ -526,16 +529,24 @@ std::vector<JobSpec> FaultTrace(uint64_t seed, int num_jobs = 10) {
   return jobs;
 }
 
-SimResult RunFaultSim(const FaultOptions& faults, uint64_t seed) {
+SimResult RunFaultSim(const FaultOptions& faults, uint64_t seed, const NetOptions& net = {},
+                      int sched_threads = 1) {
   SimOptions options;
   options.cluster = ClusterSpec::Homogeneous(2, 4);
   options.seed = seed;
   options.faults = faults;
+  options.net = net;
+  options.sched_threads = sched_threads;
   options.check_invariants = true;
   SchedConfig sched_config;
   sched_config.ga.population_size = 12;
   sched_config.ga.generations = 6;
   sched_config.ga.seed = seed;
+  if (net.enabled()) {
+    sched_config.lease_intervals = net.lease_intervals;
+    sched_config.lease_grace = net.lease_grace;
+    sched_config.degraded_coverage = net.degraded_coverage;
+  }
   PolluxPolicy policy(options.cluster, sched_config);
   return Simulator(options, FaultTrace(seed), &policy).Run();
 }
@@ -590,6 +601,35 @@ TEST(SimFaultsTest, DeterministicPerSeedUnderFaults) {
     EXPECT_EQ(static_cast<int>(a.events[i].kind), static_cast<int>(b.events[i].kind));
     EXPECT_EQ(a.events[i].job_id, b.events[i].job_id);
   }
+}
+
+// The report refresh runs the agents' theta_sys fits and batch-size tuning on
+// a pool as wide as SimOptions::sched_threads. With report drops, a lossy net
+// and robust fits on straggler data all active, the jobs and events CSVs must
+// not depend on the pool width, and the wide run must really use the pool
+// (the GA runs single-threaded here, so every pool task is a refresh task).
+TEST(SimFaultsTest, RefreshIsByteIdenticalAtOneAndFourThreads) {
+  FaultOptions faults;
+  faults.mtbf_node = 1500.0;
+  faults.repair_time = 120.0;
+  faults.straggler_frac = 0.5;
+  faults.report_drop_rate = 0.2;
+  NetOptions net;
+  ASSERT_TRUE(NetProfileByName("flaky", &net));
+
+  const SimResult serial = RunFaultSim(faults, 2, net, /*sched_threads=*/1);
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter* const tasks = registry.GetCounter("threadpool.tasks");
+  registry.SetEnabled(true);
+  const uint64_t tasks_before = tasks->value();
+  const SimResult pooled = RunFaultSim(faults, 2, net, /*sched_threads=*/4);
+  const uint64_t tasks_after = tasks->value();
+  registry.SetEnabled(false);
+
+  EXPECT_GT(tasks_after, tasks_before);
+  EXPECT_GE(CountEvents(serial, SimEventKind::kReportDrop), 1);
+  EXPECT_EQ(RenderJobsCsv(pooled), RenderJobsCsv(serial));
+  EXPECT_EQ(RenderEventsCsv(pooled), RenderEventsCsv(serial));
 }
 
 TEST(SimFaultsTest, DroppedReportsAreLoggedAndJobsStillFinish) {

@@ -23,7 +23,7 @@ esac
 
 build_dir="build-$san"
 cmake -B "$build_dir" -S . -DPOLLUX_SANITIZE="$san" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_dir" -j "$(nproc)" --target pollux_tests
+cmake --build "$build_dir" -j "$(nproc)" --target pollux_tests pollux_slow_tests
 
 # halt_on_error turns any report into a test failure instead of a log line.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
