@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths that bound
 // PolluxSched's 60-second scheduling budget: goodput evaluation, batch-size
 // optimization, speedup-table construction, genetic-algorithm rounds, online
-// model fitting, and the event-queue engine primitives.
+// model fitting, the event-queue engine primitives, and the binary codec that
+// every pollux_schedd checkpoint and wire frame goes through.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,8 @@
 #include "core/goodput.h"
 #include "core/model_fitter.h"
 #include "core/speedup_table.h"
+#include "service/tenant.h"
+#include "sim/checkpoint.h"
 #include "sim/engine/event_queue.h"
 #include "util/rng.h"
 #include "workload/trace_gen.h"
@@ -190,6 +193,52 @@ void BM_TraceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceGeneration);
+
+// CRC-32 over one pollux_schedd tenant checkpoint's worth of bytes (2 x 1024
+// jobs on 64x4 GPUs write about 217 kB per tenant per round).
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(5);
+  std::string bytes(217 * 1024, '\0');
+  for (char& byte : bytes) byte = static_cast<char>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
+
+// Encoding one first-match tenant with 1024 placed jobs on 64x4 GPUs: the
+// payload of every per-round daemon checkpoint.
+void BM_TenantSnapshotEncode(benchmark::State& state) {
+  service::TenantSetup setup;
+  setup.tenant_id = 1;
+  setup.cluster.gpus_per_node.assign(64, 4);
+  setup.sched.mode = SchedMode::kFirstMatch;
+  service::TenantDomain tenant(setup);
+  Rng rng(7);
+  for (uint64_t job = 1; job <= 1024; ++job) {
+    AgentReport agent;
+    agent.job_id = job;
+    ThroughputParams params = TypicalModel().params();
+    params.alpha_grad = rng.Uniform(0.02, 0.08);
+    agent.model = GoodputModel(params, rng.Uniform(500.0, 2000.0), 128);
+    agent.limits = TypicalLimits();
+    agent.max_gpus_cap = 1 << static_cast<int>(rng.Uniform(0.0, 4.0));
+    tenant.SubmitJob(agent, 0.0);
+  }
+  service::RoundDecisions decisions;
+  tenant.RunRound(0, &decisions);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string snapshot = tenant.EncodeSnapshot();
+    bytes = snapshot.size();
+    benchmark::DoNotOptimize(snapshot.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_TenantSnapshotEncode);
 
 }  // namespace
 }  // namespace pollux

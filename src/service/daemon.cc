@@ -34,6 +34,7 @@ struct ScheddObsMetrics {
   obs::Gauge* queue_depth;
   obs::Histogram* round_seconds;
   obs::Histogram* ingest_seconds;
+  obs::Histogram* checkpoint_seconds;
 };
 
 ScheddObsMetrics& ObsMetrics() {
@@ -50,6 +51,7 @@ ScheddObsMetrics& ObsMetrics() {
     m.queue_depth = registry.GetGauge("schedd.queue.depth");
     m.round_seconds = registry.GetHistogram("schedd.round.seconds");
     m.ingest_seconds = registry.GetHistogram("schedd.ingest.seconds");
+    m.checkpoint_seconds = registry.GetHistogram("schedd.checkpoint.seconds");
     return m;
   }();
   return metrics;
@@ -567,7 +569,9 @@ void ScheddDaemon::ShardLoop(int shard_index) {
 
 void ScheddDaemon::CheckpointTenant(const TenantDomain& tenant) {
   std::string error;
+  const double start = NowSeconds();
   if (tenant.SaveCheckpoint(TenantDir(tenant.tenant_id()), options_.checkpoint_keep, &error)) {
+    ObsMetrics().checkpoint_seconds->Record(NowSeconds() - start);
     checkpoints_.fetch_add(1, std::memory_order_relaxed);
     ObsMetrics().checkpoints->Add();
   } else {

@@ -106,7 +106,7 @@ void Fields(Io& io, TenantSetup& setup) {
 std::string EncodeDecisionsPayload(const RoundDecisions& decisions) {
   BinWriter out;
   out.Put(decisions);
-  return out.str();
+  return std::move(out).str();
 }
 
 bool DecodeDecisionsPayload(const std::string& payload, RoundDecisions* decisions) {
@@ -219,7 +219,7 @@ std::string TenantDomain::EncodeSnapshot() const {
   PolluxSched::State sched_state = sched_.GetState();
   // A writer only reads through the field list's references.
   const_cast<TenantDomain*>(this)->StateFields(out, sched_state);
-  return out.str();
+  return std::move(out).str();
 }
 
 std::unique_ptr<TenantDomain> TenantDomain::FromSnapshot(const std::string& payload,

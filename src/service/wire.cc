@@ -1,22 +1,9 @@
 #include "service/wire.h"
 
-#include <cstring>
+#include <utility>
 
 namespace pollux {
 namespace service {
-namespace {
-
-uint32_t ReadU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(b[0]) | static_cast<uint32_t>(b[1]) << 8 |
-         static_cast<uint32_t>(b[2]) << 16 | static_cast<uint32_t>(b[3]) << 24;
-}
-
-uint64_t ReadU64(const char* p) {
-  return static_cast<uint64_t>(ReadU32(p)) | static_cast<uint64_t>(ReadU32(p + 4)) << 32;
-}
-
-}  // namespace
 
 const char* MsgTypeName(MsgType type) {
   switch (type) {
@@ -76,47 +63,47 @@ const char* FrameStatusName(FrameStatus status) {
 
 std::string EncodeFrame(uint32_t type, const std::string& payload) {
   BinWriter out;
+  out.Reserve(kFrameHeaderSize + payload.size() + kFrameTrailerSize);
   out.PutU32(kFrameMagic);
   out.PutU32(type);
-  out.PutU64(payload.size());
-  std::string frame = out.str();
-  frame += payload;
+  out.PutString(payload);  // u64 length, then the payload bytes.
   // CRC covers everything after the magic: type, length, payload. The magic
   // is excluded so a deliberate CRC flip in tests cannot be "fixed" by also
   // flipping magic bytes into a colliding value.
-  const uint32_t crc = Crc32(frame.data() + 4, frame.size() - 4);
-  BinWriter trailer;
-  trailer.PutU32(crc);
-  frame += trailer.str();
-  return frame;
+  const std::string& frame = out.str();
+  out.PutU32(Crc32(frame.data() + 4, frame.size() - 4));
+  return std::move(out).str();
 }
 
 FrameStatus DecodeFrame(const std::string& buffer, size_t max_payload, Frame* frame,
                         size_t* consumed) {
   *consumed = 0;
+  BinReader in(buffer);
   // Reject bad magic as soon as the first four bytes are in: a garbage
   // stream must not be able to stall a connection by never completing a
   // "frame" whose declared length is nonsense.
-  if (buffer.size() >= 4 && ReadU32(buffer.data()) != kFrameMagic) {
+  const uint32_t magic = in.GetU32();
+  if (in.ok() && magic != kFrameMagic) {
     return FrameStatus::kBadMagic;
   }
-  if (buffer.size() < kFrameHeaderSize) {
+  const uint32_t type = in.GetU32();
+  const uint64_t length = in.GetU64();
+  if (!in.ok()) {
     return FrameStatus::kNeedMore;
   }
-  const uint64_t length = ReadU64(buffer.data() + 8);
   if (length > max_payload) {
     return FrameStatus::kOversized;
   }
-  const size_t total = kFrameHeaderSize + static_cast<size_t>(length) + kFrameTrailerSize;
-  if (buffer.size() < total) {
+  in.Skip(length);
+  const uint32_t declared_crc = in.GetU32();
+  if (!in.ok()) {
     return FrameStatus::kNeedMore;
   }
-  const uint32_t declared_crc = ReadU32(buffer.data() + total - kFrameTrailerSize);
-  const uint32_t actual_crc = Crc32(buffer.data() + 4, total - kFrameTrailerSize - 4);
-  if (declared_crc != actual_crc) {
+  const size_t total = kFrameHeaderSize + static_cast<size_t>(length) + kFrameTrailerSize;
+  if (declared_crc != Crc32(buffer.data() + 4, total - kFrameTrailerSize - 4)) {
     return FrameStatus::kBadCrc;
   }
-  frame->type = ReadU32(buffer.data() + 4);
+  frame->type = type;
   frame->payload.assign(buffer.data() + kFrameHeaderSize, static_cast<size_t>(length));
   *consumed = total;
   return FrameStatus::kOk;
@@ -126,14 +113,14 @@ std::string EncodeError(ErrCode code, const std::string& detail) {
   BinWriter out;
   out.PutU32(code);
   out.PutString(detail);
-  return out.str();
+  return std::move(out).str();
 }
 
 std::string EncodeNack(NackReason reason, const std::string& detail) {
   BinWriter out;
   out.PutU32(reason);
   out.PutString(detail);
-  return out.str();
+  return std::move(out).str();
 }
 
 bool DecodeErrorPayload(const std::string& payload, uint32_t* code, std::string* detail) {

@@ -1,6 +1,8 @@
 #include "sim/checkpoint.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -48,20 +50,51 @@ bool Corrupt(std::string* error, const std::string& message) {
   return Fail(error, message);
 }
 
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
-    for (uint32_t n = 0; n < 256; ++n) {
-      uint32_t c = n;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      entries[n] = c;
-    }
-    return entries;
-  }();
-  return table;
+// Stores and loads one little-endian word at a time: a memcpy plus, on a
+// big-endian host only, a byte swap.
+template <class Word>
+Word LittleEndian(Word word) {
+  static_assert(sizeof(Word) == 4 || sizeof(Word) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    return word;
+  } else if constexpr (sizeof(Word) == 4) {
+    return __builtin_bswap32(word);
+  } else {
+    return __builtin_bswap64(word);
+  }
 }
+
+template <class Word>
+Word LoadLittleEndian(const void* bytes) {
+  Word word = 0;
+  std::memcpy(&word, bytes, sizeof(word));
+  return LittleEndian(word);
+}
+
+// Slicing-by-8 tables for the reflected IEEE polynomial. Row 0 is the
+// classic byte table; row k maps a byte to its CRC contribution when k more
+// zero bytes follow it, so one lookup per row advances the CRC eight bytes.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t n = 0; n < 256; ++n) {
+    uint32_t c = n;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    tables[0][n] = c;
+  }
+  for (size_t row = 1; row < tables.size(); ++row) {
+    for (uint32_t n = 0; n < 256; ++n) {
+      const uint32_t prev = tables[row - 1][n];
+      tables[row][n] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
 // Escapes the few characters that can appear in paths/policy names; the
 // sidecar is advisory, but it must always be valid JSON.
@@ -108,25 +141,30 @@ bool WriteFileAtomic(const std::string& path, const std::string& contents,
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = kCrc32Tables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadLittleEndian<uint32_t>(bytes) ^ crc;
+    const uint32_t hi = LoadLittleEndian<uint32_t>(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
 void BinWriter::PutU32(uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFFu));
-  }
+  const uint32_t word = LittleEndian(value);
+  buffer_.append(reinterpret_cast<const char*>(&word), sizeof(word));
 }
 
 void BinWriter::PutU64(uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buffer_.push_back(static_cast<char>((value >> shift) & 0xFFu));
-  }
+  const uint64_t word = LittleEndian(value);
+  buffer_.append(reinterpret_cast<const char*>(&word), sizeof(word));
 }
 
 void BinWriter::PutDouble(double value) {
@@ -136,15 +174,26 @@ void BinWriter::PutDouble(double value) {
   PutU64(bits);
 }
 
+void BinWriter::PutBytes(const void* data, size_t size) {
+  buffer_.append(static_cast<const char*>(data), size);
+}
+
 void BinWriter::PutString(const std::string& value) {
   PutU64(value.size());
   buffer_.append(value);
 }
 
+// The whole vector in one block: the buffer grows once, then each element is
+// stored as an i64 word.
 void BinWriter::PutIntVec(const std::vector<int>& values) {
   PutU64(values.size());
+  const size_t start = buffer_.size();
+  buffer_.resize(start + sizeof(uint64_t) * values.size());
+  char* out = buffer_.data() + start;
   for (int v : values) {
-    PutI64(v);
+    const uint64_t word = LittleEndian(static_cast<uint64_t>(static_cast<int64_t>(v)));
+    std::memcpy(out, &word, sizeof(word));
+    out += sizeof(word);
   }
 }
 
@@ -153,10 +202,8 @@ uint32_t BinReader::GetU32() {
     ok_ = false;
     return 0;
   }
-  uint32_t value = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_++])) << shift;
-  }
+  const uint32_t value = LoadLittleEndian<uint32_t>(data_.data() + pos_);
+  pos_ += 4;
   return value;
 }
 
@@ -165,11 +212,17 @@ uint64_t BinReader::GetU64() {
     ok_ = false;
     return 0;
   }
-  uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_++])) << shift;
-  }
+  const uint64_t value = LoadLittleEndian<uint64_t>(data_.data() + pos_);
+  pos_ += 8;
   return value;
+}
+
+void BinReader::Skip(uint64_t size) {
+  if (!ok_ || data_.size() - pos_ < size) {
+    ok_ = false;
+    return;
+  }
+  pos_ += static_cast<size_t>(size);
 }
 
 double BinReader::GetDouble() {
@@ -216,7 +269,7 @@ std::vector<int> BinReader::GetIntVec() {
 std::string EncodeSnapshotExtra(const SnapshotExtra& extra) {
   BinWriter out;
   out.Put(extra);
-  return out.str();
+  return std::move(out).str();
 }
 
 bool DecodeSnapshotExtra(const std::string& payload, SnapshotExtra* extra) {
@@ -228,18 +281,21 @@ bool DecodeSnapshotExtra(const std::string& payload, SnapshotExtra* extra) {
 bool WriteSnapshotFile(const std::string& path,
                        const std::map<uint32_t, std::string>& sections,
                        const SnapshotMeta& meta, std::string* error) {
-  std::string file(kMagic, kMagicSize);
-  BinWriter body;
-  body.PutU32(kSnapshotVersion);
+  // One buffer, sized exactly: each payload is copied once, straight into
+  // the file image.
+  size_t total = kMagicSize + 4 + kCrcSize;
+  for (const auto& [tag, payload] : sections) total += 4 + 8 + payload.size();
+  BinWriter out;
+  out.Reserve(total);
+  out.PutBytes(kMagic, kMagicSize);
+  out.PutU32(kSnapshotVersion);
   for (const auto& [tag, payload] : sections) {
-    body.PutU32(tag);
-    body.PutString(payload);
+    out.PutU32(tag);
+    out.PutString(payload);
   }
-  file += body.str();
-  const uint32_t crc = Crc32(file.data() + kMagicSize, file.size() - kMagicSize);
-  BinWriter crc_writer;
-  crc_writer.PutU32(crc);
-  file += crc_writer.str();
+  const uint32_t crc = Crc32(out.str().data() + kMagicSize, out.str().size() - kMagicSize);
+  out.PutU32(crc);
+  const std::string& file = out.str();
   if (!WriteFileAtomic(path, file, error)) {
     return false;
   }

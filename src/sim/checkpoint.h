@@ -70,7 +70,10 @@ enum SnapshotTag : uint32_t {
   kTagService = 10,   // pollux_schedd per-tenant domain state (service/tenant.h).
 };
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, initial value and
+// final XOR 0xFFFFFFFF; "123456789" -> 0xCBF43926). Computed slicing-by-8:
+// eight table lookups per 8-byte word, then one per byte of the tail, giving
+// the same value as the byte-at-a-time definition.
 uint32_t Crc32(const void* data, size_t size);
 
 // Caps on decoded container lengths (BinReader::Count). Node- and job-indexed
@@ -87,7 +90,8 @@ inline constexpr uint64_t kMaxLargeCount = uint64_t{1} << 24;
 // Decode-only steps, such as rebuilding an object from decoded parts, sit
 // under `if constexpr (Io::kDecode)`. Dispatch is static.
 
-// Append-only little-endian binary encoder.
+// Append-only little-endian binary encoder. Every value is appended as whole
+// 4- or 8-byte words (an int vector as one block), never byte by byte.
 class BinWriter {
  public:
   static constexpr bool kDecode = false;
@@ -97,9 +101,15 @@ class BinWriter {
   void PutI64(int64_t value) { PutU64(static_cast<uint64_t>(value)); }
   void PutBool(bool value) { PutU32(value ? 1 : 0); }
   void PutDouble(double value);  // Bit-exact (incl. inf/NaN payloads).
-  void PutString(const std::string& value);
-  void PutIntVec(const std::vector<int>& values);
-  const std::string& str() const { return buffer_; }
+  void PutString(const std::string& value);  // u64 length, then the bytes.
+  void PutIntVec(const std::vector<int>& values);  // u64 count, then i64 each.
+  void PutBytes(const void* data, size_t size);    // Raw, unframed.
+  // For callers that know the encoded size up front (file and frame
+  // assembly): one allocation instead of repeated growth.
+  void Reserve(size_t size) { buffer_.reserve(size); }
+  const std::string& str() const& { return buffer_; }
+  // Hands the encoded bytes over without a copy: std::move(writer).str().
+  std::string str() && { return std::move(buffer_); }
 
   // Encodes `value` through its field list (which never writes through the
   // reference when run by a writer).
@@ -142,8 +152,9 @@ class BinWriter {
   std::string buffer_;
 };
 
-// Matching decoder. Reads past the end set a sticky failure flag and return
-// zero values; callers check ok() once after decoding instead of per field.
+// Matching decoder, reading whole words. Reads past the end set a sticky
+// failure flag and return zero values; callers check ok() once after decoding
+// instead of per field.
 // The referenced buffer must outlive the reader.
 class BinReader {
  public:
@@ -161,6 +172,8 @@ class BinReader {
   double GetFiniteDouble();
   std::string GetString();
   std::vector<int> GetIntVec();
+  // Steps over `size` bytes, failing like a read when fewer remain.
+  void Skip(uint64_t size);
 
   // Decodes a T through its field list.
   template <class T>

@@ -58,7 +58,7 @@ void PolluxPolicy::OnClusterChanged(const ClusterSpec& cluster) { sched_.SetClus
 void PolluxPolicy::SaveState(std::string* blob) const {
   BinWriter out;
   out.Put(Blob{sched_.cluster(), sched_.GetState(), last_reports_});
-  *blob = out.str();
+  *blob = std::move(out).str();
 }
 
 bool PolluxPolicy::LoadState(const std::string& blob) {

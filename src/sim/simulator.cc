@@ -1585,7 +1585,7 @@ bool Simulator::SaveSnapshot(const std::string& path, std::string* error) {
   const auto encode = [&sections](uint32_t tag, const auto& fields) {
     BinWriter out;
     fields(out);
-    sections[tag] = out.str();
+    sections[tag] = std::move(out).str();
   };
   encode(kTagSimCore, [this](BinWriter& out) {
     out.Put(RunEcho{options_.seed, options_.tick, trace_.size()});

@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <thread>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "core/goodput.h"
+#include "obs/metrics.h"
 #include "service/client.h"
 #include "service/daemon.h"
 #include "service/tenant.h"
@@ -480,6 +483,75 @@ TEST(ScheddDaemonTest, AbruptStopThenRestartReplaysIdenticalDecisions) {
     EXPECT_TRUE(PolluxSched::AllocationsFeasible(MakeSetup(1).cluster, next.rows));
   }
   std::filesystem::remove_all(checkpoint_dir);
+}
+
+// Runs three rounds of a four-job tenant against a daemon that checkpoints
+// after every round and returns the bytes of each snapshot it kept, in round
+// order.
+std::vector<std::string> CheckpointedRun(const char* tag, uint64_t* checkpoints) {
+  const std::string socket_path = SocketPath(tag);
+  const auto checkpoint_dir = std::filesystem::temp_directory_path() / tag;
+  std::filesystem::remove_all(checkpoint_dir);
+  ScheddOptions options;
+  options.socket_path = socket_path;
+  options.checkpoint_dir = checkpoint_dir.string();
+  options.checkpoint_every_rounds = 1;
+  options.checkpoint_keep = 3;
+  {
+    DaemonUnderTest daemon(options);
+    EXPECT_TRUE(daemon.started);
+    ScheddClient client(ClientOptions(socket_path));
+    std::string error;
+    EXPECT_TRUE(client.Connect(&error)) << error;
+    EXPECT_TRUE(client.CreateTenant(MakeSetup(1), &error)) << error;
+    for (uint64_t job = 1; job <= 4; ++job) {
+      EXPECT_TRUE(client.SubmitJob(1, MakeAgent(job, 800.0 + 100.0 * job), 0.0, &error))
+          << error;
+    }
+    for (uint64_t round = 0; round < 3; ++round) {
+      std::vector<SchedJobReport> batch;
+      for (uint64_t job = 1; job <= 4; ++job) {
+        batch.push_back(MakeReport(job, round + 1, 800.0 + 100.0 * job));
+      }
+      uint64_t accepted = 0;
+      EXPECT_TRUE(client.Report(1, batch, &accepted, &error)) << error;
+      RoundDecisions decisions;
+      EXPECT_TRUE(client.RunRound(1, round, &decisions, &error)) << error;
+    }
+    *checkpoints = daemon.daemon->Stats().checkpoints;
+  }
+  std::vector<std::string> snapshots;
+  for (const std::string& file : ListSnapshotFiles((checkpoint_dir / "tenant-1").string())) {
+    std::ifstream in(file, std::ios::binary);
+    snapshots.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove_all(checkpoint_dir);
+  return snapshots;
+}
+
+// schedd.checkpoint.seconds times every per-round checkpoint when metrics are
+// on, and turning metrics on leaves the checkpoint bytes as they were.
+TEST(ScheddDaemonTest, CheckpointHistogramLeavesSnapshotBytesUnchanged) {
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  registry.SetEnabled(false);
+  uint64_t plain_checkpoints = 0;
+  const std::vector<std::string> plain = CheckpointedRun("plxd_ckpt_plain", &plain_checkpoints);
+  obs::Histogram* seconds = registry.GetHistogram("schedd.checkpoint.seconds");
+  EXPECT_EQ(seconds->count(), 0u);
+
+  registry.SetEnabled(true);
+  uint64_t timed_checkpoints = 0;
+  const std::vector<std::string> timed = CheckpointedRun("plxd_ckpt_timed", &timed_checkpoints);
+  registry.SetEnabled(false);
+
+  EXPECT_EQ(plain_checkpoints, 3u);
+  EXPECT_EQ(timed_checkpoints, 3u);
+  EXPECT_EQ(seconds->count(), timed_checkpoints);
+  EXPECT_GT(seconds->sum(), 0.0);
+  ASSERT_EQ(plain.size(), 3u);
+  EXPECT_EQ(timed, plain);
+  registry.Reset();
 }
 
 TEST(ScheddDaemonTest, OverloadShedsWithQueueCapOne) {
