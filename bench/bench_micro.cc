@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,71 @@ BENCHMARK(BM_GeneticRound)
     ->Args({160, 4})
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// One round's worth of GA offspring shaped like perfbench sim-exact-160: 15
+// jobs on 16x4 GPUs, every job holding GPUs on its own node, exploration caps
+// at twice the GPUs held, and tables sized as PolluxSched sizes them. The
+// offspring are crossed and mutated from perturbed incumbents but not yet
+// repaired, which is what RepairWith sees inside a generation.
+struct GaRoundFixture {
+  GaRoundFixture() : ga(ClusterSpec::Homogeneous(16, 4), GaOptions{}) {
+    const ClusterSpec& cluster = ga.cluster();
+    AllocationMatrix incumbent(15, 16);
+    for (size_t j = 0; j < 15; ++j) {
+      const int held = j % 3 == 0 ? 4 : (j % 3 == 1 ? 2 : 1);
+      SchedJobInfo info;
+      info.job_id = j;
+      info.max_gpus_cap = 2 * held;
+      info.speedups = SpeedupTable(TypicalModel(), TypicalLimits(),
+                                   std::min(cluster.TotalGpus(), info.max_gpus_cap));
+      info.current_allocation.assign(16, 0);
+      info.current_allocation[j] = held;
+      incumbent.SetRow(j, info.current_allocation);
+      jobs.push_back(std::move(info));
+    }
+    std::vector<AllocationMatrix> parents(40, incumbent);
+    for (AllocationMatrix& parent : parents) {
+      ga.Mutate(parent);
+      ga.Repair(parent, jobs);
+    }
+    for (size_t i = 0; i < 256; ++i) {
+      AllocationMatrix child = ga.Crossover(parents[i % 40], parents[(i * 7 + 3) % 40]);
+      ga.Mutate(child);
+      offspring.push_back(std::move(child));
+    }
+  }
+  GeneticOptimizer ga;
+  std::vector<SchedJobInfo> jobs;
+  std::vector<AllocationMatrix> offspring;
+};
+
+// Repair of one offspring (capacity, exploration caps, interference).
+void BM_GaRepair(benchmark::State& state) {
+  GaRoundFixture round;
+  size_t i = 0;
+  for (auto _ : state) {
+    AllocationMatrix child = round.offspring[i];
+    round.ga.Repair(child, round.jobs);
+    benchmark::DoNotOptimize(child);
+    i = (i + 1) % round.offspring.size();
+  }
+}
+BENCHMARK(BM_GaRepair);
+
+// Fitness (Eqn. 14) of one repaired offspring.
+void BM_GaFitness(benchmark::State& state) {
+  GaRoundFixture round;
+  for (AllocationMatrix& child : round.offspring) {
+    round.ga.Repair(child, round.jobs);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Fitness(round.jobs, round.offspring[i], 0.25, &round.ga.cluster()));
+    i = (i + 1) % round.offspring.size();
+  }
+}
+BENCHMARK(BM_GaFitness);
 
 void BM_ThroughputFit(benchmark::State& state) {
   ThroughputParams truth{0.04, 3e-4, 0.02, 0.001, 0.08, 0.004, 1.8};
