@@ -71,6 +71,10 @@ class AllocationMatrix {
   int& at(size_t job, size_t node) { return cells_[job * num_nodes_ + node]; }
   int at(size_t job, size_t node) const { return cells_[job * num_nodes_ + node]; }
 
+  // Row j's cells, contiguous: num_nodes() ints.
+  int* RowData(size_t job) { return cells_.data() + job * num_nodes_; }
+  const int* RowData(size_t job) const { return cells_.data() + job * num_nodes_; }
+
   size_t num_jobs() const { return num_jobs_; }
   size_t num_nodes() const { return num_nodes_; }
 

@@ -34,25 +34,60 @@ struct SchedJobInfo {
   int max_gpus_cap = 1;
 };
 
-// Penalized speedup of one row of the allocation matrix: the raw
-// SPEEDUP_j(K, N) table lookup, minus the restart penalty when the row
-// differs from the job's current allocation.
+// Eqns. 14 and 17 over one round's job set; every GA fitness and utility
+// value goes through this one scoring path. GeneticOptimizer builds one per
+// Optimize call and shares it read-only across workers.
 //
-// When `cluster` carries topology annotations, the placement summary becomes
-// (K, N, R): cross-rack rows read the SpeedupTable's rack regime, and the
-// result is scaled by the slowest GPU generation the row touches. Flat
-// clusters take the legacy path unchanged.
-double PenalizedSpeedup(const SchedJobInfo& job, const AllocationMatrix& matrix, size_t row,
-                        double restart_penalty, const ClusterSpec* cluster = nullptr);
+// Per job it holds dense rows of SpeedupTable::At values for every K up to
+// the job's table max_gpus (beyond which At clamps), one row per regime:
+// single-node, multi-node, and on topology clusters multi-rack. It also holds
+// the job's current allocation zero-padded to the cluster's node count. A
+// matrix row is then scored by one fused scan that yields K, N, whether the
+// row spans racks, the slowest GPU scale it touches and whether it differs
+// from the current allocation, plus one indexed load. The rows hold At's own
+// results and the arithmetic is At * scale - penalty in row order, so every
+// value is bit-identical to the table lookups.
+//
+// When `cluster` carries topology annotations, cross-rack rows read the
+// table's rack regime and are scaled by the slowest GPU generation they
+// touch. Flat clusters read the node regimes with scale 1.
+class FitnessScorer {
+ public:
+  FitnessScorer(const std::vector<SchedJobInfo>& jobs, const ClusterSpec& cluster,
+                double restart_penalty);
 
-// Eqn. 14 over all jobs.
-double Fitness(const std::vector<SchedJobInfo>& jobs, const AllocationMatrix& matrix,
-               double restart_penalty, const ClusterSpec* cluster = nullptr);
+  // Eqn. 14: sum_j w_j * (SPEEDUP_j minus RESTART_PENALTY when row j differs
+  // from the job's non-empty current allocation) / sum_j w_j. The matrix has
+  // one row per job and one column per cluster node.
+  double Fitness(const AllocationMatrix& matrix) const;
 
-// Eqn. 17: cluster resource utility sum_j SPEEDUP_j / TOTAL_GPUS (no restart
-// penalty, no weights) — the autoscaling signal.
-double Utility(const std::vector<SchedJobInfo>& jobs, const AllocationMatrix& matrix,
-               int total_gpus, const ClusterSpec* cluster = nullptr);
+  // Eqn. 17: cluster resource utility sum_j SPEEDUP_j / TOTAL_GPUS (no restart
+  // penalty, no weights) -- the autoscaling signal.
+  double Utility(const AllocationMatrix& matrix) const;
+
+ private:
+  // Raw SPEEDUP_j of matrix row j; sets *changed when the row differs from
+  // the job's padded current allocation.
+  double RowSpeedup(const AllocationMatrix& matrix, size_t j, bool* changed) const;
+
+  bool topology_ = false;
+  size_t num_nodes_ = 0;
+  int regimes_ = 2;
+  double restart_penalty_ = 0.0;
+  double total_weight_ = 0.0;
+  int total_gpus_ = 0;
+  struct Job {
+    size_t row_start = 0;  // Offset of the job's [regime][K] rows in speedups_.
+    int row_len = 1;       // Its table's max_gpus() + 1.
+    bool has_current = false;
+    double weight = 1.0;
+  };
+  std::vector<Job> jobs_;
+  std::vector<double> speedups_;
+  std::vector<int> current_;        // [job][node], zero-padded.
+  std::vector<int> rack_of_node_;   // Topology only.
+  std::vector<double> node_scale_;  // Topology only.
+};
 
 }  // namespace pollux
 

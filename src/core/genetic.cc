@@ -32,44 +32,67 @@ struct GaMetrics {
   }
 };
 
-// Decrements one positive cell of the given row, chosen uniformly at random
-// among positive cells (weighted sampling over a single scan, no allocation).
-// Returns false if the row is all zeros.
-bool DecrementRandomPositiveInRow(AllocationMatrix& matrix, size_t job, Rng& rng) {
-  int positives = 0;
-  size_t chosen = 0;
-  for (size_t n = 0; n < matrix.num_nodes(); ++n) {
-    if (matrix.at(job, n) > 0) {
-      ++positives;
-      if (rng.UniformInt(1, positives) == 1) {
-        chosen = n;
+// Scratch for one repair, in one block: per-node GPU usage, per-job count of
+// occupied nodes, and for each node the list of jobs holding a positive cell
+// there, in ascending job order, plus one node-sized list for the cap stage.
+// The repair stages walk these lists instead of rescanning rows and columns,
+// and keep them in step with every cell they change.
+class Occupancy {
+ public:
+  Occupancy(size_t num_jobs, size_t num_nodes)
+      : num_jobs_(num_jobs), num_nodes_(num_nodes),
+        block_(num_nodes * (num_jobs + 3) + num_jobs) {}
+
+  // One row-major pass over the matrix. Branch-free: every cell writes its
+  // job id at its node's list end, and only positive cells advance the end.
+  void Build(const AllocationMatrix& matrix) {
+    std::fill(block_.begin(), block_.end(), 0);
+    int* usage = block_.data();
+    int* count = usage + num_nodes_;
+    int* lists = jobs_on(0);
+    for (size_t j = 0; j < num_jobs_; ++j) {
+      const int* row = matrix.RowData(j);
+      int occupied = 0;
+      for (size_t n = 0; n < num_nodes_; ++n) {
+        const int positive = row[n] > 0 ? 1 : 0;
+        usage[n] += row[n];
+        lists[n * num_jobs_ + static_cast<size_t>(count[n])] = static_cast<int>(j);
+        count[n] += positive;
+        occupied += positive;
       }
+      nodes_of_job(j) = occupied;
     }
   }
-  if (positives == 0) {
-    return false;
+
+  int& usage(size_t n) { return block_[n]; }
+  int& count(size_t n) { return block_[num_nodes_ + n]; }
+  int& nodes_of_job(size_t j) { return block_[2 * num_nodes_ + j]; }
+  int* jobs_on(size_t n) { return block_.data() + 2 * num_nodes_ + num_jobs_ + n * num_jobs_; }
+  int* row_scratch() { return jobs_on(num_nodes_); }
+
+ private:
+  size_t num_jobs_;
+  size_t num_nodes_;
+  std::vector<int> block_;
+};
+
+// Uniform reservoir pick over a list of `count` candidates: one
+// UniformInt(1, i) per candidate in list order, exactly the draws a scan that
+// meets the candidates in that order makes. Requires count >= 1.
+int ReservoirPick(int count, Rng& rng) {
+  int chosen = 0;
+  for (int i = 1; i <= count; ++i) {
+    if (rng.UniformInt(1, i) == 1) {
+      chosen = i - 1;
+    }
   }
-  --matrix.at(job, chosen);
-  return true;
+  return chosen;
 }
 
-// Same, over a column.
-bool DecrementRandomPositiveInColumn(AllocationMatrix& matrix, size_t node, Rng& rng) {
-  int positives = 0;
-  size_t chosen = 0;
-  for (size_t j = 0; j < matrix.num_jobs(); ++j) {
-    if (matrix.at(j, node) > 0) {
-      ++positives;
-      if (rng.UniformInt(1, positives) == 1) {
-        chosen = j;
-      }
-    }
-  }
-  if (positives == 0) {
-    return false;
-  }
-  --matrix.at(chosen, node);
-  return true;
+// Drops entry i of a list of `count`, keeping the rest in order.
+void EraseAt(int* list, int& count, int i) {
+  std::copy(list + i + 1, list + count, list + i);
+  --count;
 }
 
 // Rack with the most GPUs in the given row (ties to the lowest rack id), or
@@ -217,24 +240,52 @@ void GeneticOptimizer::RepairWith(AllocationMatrix& matrix, const std::vector<Sc
   const size_t num_jobs = matrix.num_jobs();
   const size_t num_nodes = matrix.num_nodes();
 
-  // 1. Per-job exploration cap (at most 2x the most GPUs ever held).
+  // Every stage draws exactly as a whole-row or whole-column reservoir scan
+  // would: one UniformInt(1, i) per candidate cell, in ascending index order.
+  // The lists only skip the cells such a scan would pass over.
+  Occupancy occupancy(num_jobs, num_nodes);
+
+  // 1. Per-job exploration cap (at most 2x the most GPUs ever held): while a
+  // row is over its cap, decrement one of its positive cells, chosen
+  // uniformly; a cell that reaches 0 leaves the row's list.
+  int* positive = occupancy.row_scratch();
   for (size_t j = 0; j < num_jobs; ++j) {
     const int cap = std::max(1, jobs[j].max_gpus_cap);
-    int total = matrix.JobPlacement(j).num_gpus;
-    while (total > cap && DecrementRandomPositiveInRow(matrix, j, rng)) {
-      --total;
+    int* row = matrix.RowData(j);
+    int total = 0;
+    for (size_t n = 0; n < num_nodes; ++n) {
+      total += row[n] > 0 ? row[n] : 0;
+    }
+    if (total <= cap) {
+      continue;
+    }
+    int count = 0;
+    for (size_t n = 0; n < num_nodes; ++n) {
+      positive[count] = static_cast<int>(n);
+      count += row[n] > 0 ? 1 : 0;
+    }
+    for (; total > cap && count > 0; --total) {
+      const int chosen = ReservoirPick(count, rng);
+      if (--row[positive[chosen]] == 0) {
+        EraseAt(positive, count, chosen);
+      }
     }
   }
 
-  // 2. Node capacity: randomly decrement cells within over-capacity columns.
+  // 2. Node capacity: while a node is over capacity, decrement the cell of
+  // one of the jobs holding GPUs there, chosen uniformly.
+  occupancy.Build(matrix);
   for (size_t n = 0; n < num_nodes; ++n) {
-    int usage = 0;
-    for (size_t j = 0; j < num_jobs; ++j) {
-      usage += matrix.at(j, n);
-    }
-    while (usage > cluster_.gpus_per_node[n] &&
-           DecrementRandomPositiveInColumn(matrix, n, rng)) {
-      --usage;
+    int* holders = occupancy.jobs_on(n);
+    int& count = occupancy.count(n);
+    for (int& usage = occupancy.usage(n); usage > cluster_.gpus_per_node[n] && count > 0;
+         --usage) {
+      const int chosen = ReservoirPick(count, rng);
+      const size_t j = static_cast<size_t>(holders[chosen]);
+      if (--matrix.at(j, n) == 0) {
+        EraseAt(holders, count, chosen);
+        --occupancy.nodes_of_job(j);
+      }
     }
   }
 
@@ -245,48 +296,50 @@ void GeneticOptimizer::RepairWith(AllocationMatrix& matrix, const std::vector<Sc
   // sees. Deterministic (no RNG draws), so the flat-mode stream is untouched.
   if (!rack_nodes_.empty()) {
     CompactRacks(matrix);
+    if (options_.interference_avoidance) {
+      occupancy.Build(matrix);
+    }
   }
 
   // 3. Interference avoidance: at most one distributed (multi-node) job per
   // node. Evicting a job's share on one node can change which jobs are
   // distributed, so iterate to a fixed point. Node counts per job are
-  // maintained incrementally to keep the scan linear.
+  // maintained incrementally, and each sweep walks only occupied cells.
   if (!options_.interference_avoidance) {
     return;
-  }
-  std::vector<int> nodes_of_job(num_jobs, 0);
-  for (size_t j = 0; j < num_jobs; ++j) {
-    for (size_t n = 0; n < num_nodes; ++n) {
-      if (matrix.at(j, n) > 0) {
-        ++nodes_of_job[j];
-      }
-    }
   }
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t n = 0; n < num_nodes; ++n) {
+      int* holders = occupancy.jobs_on(n);
+      int& count = occupancy.count(n);
       // Reservoir-pick the distributed job to keep on this node.
       int distributed = 0;
-      size_t keep = 0;
-      for (size_t j = 0; j < num_jobs; ++j) {
-        if (matrix.at(j, n) > 0 && nodes_of_job[j] >= 2) {
+      int keep = 0;
+      for (int i = 0; i < count; ++i) {
+        if (occupancy.nodes_of_job(static_cast<size_t>(holders[i])) >= 2) {
           ++distributed;
           if (rng.UniformInt(1, distributed) == 1) {
-            keep = j;
+            keep = holders[i];
           }
         }
       }
       if (distributed < 2) {
         continue;
       }
-      for (size_t j = 0; j < num_jobs; ++j) {
-        if (j != keep && matrix.at(j, n) > 0 && nodes_of_job[j] >= 2) {
+      int kept = 0;
+      for (int i = 0; i < count; ++i) {
+        const size_t j = static_cast<size_t>(holders[i]);
+        if (holders[i] != keep && occupancy.nodes_of_job(j) >= 2) {
           matrix.at(j, n) = 0;
-          --nodes_of_job[j];
+          --occupancy.nodes_of_job(j);
           changed = true;
+        } else {
+          holders[kept++] = holders[i];
         }
       }
+      count = kept;
     }
   }
 }
@@ -417,10 +470,10 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
   EnsurePool();
 
   SeedPopulation(jobs);
+  const FitnessScorer scorer(jobs, cluster_, options_.restart_penalty);
   std::vector<double> fitnesses(population_.size());
-  pool_->ParallelFor(0, population_.size(), [&](size_t i) {
-    fitnesses[i] = Fitness(jobs, population_[i], options_.restart_penalty, &cluster_);
-  });
+  pool_->ParallelFor(0, population_.size(),
+                     [&](size_t i) { fitnesses[i] = scorer.Fitness(population_[i]); });
   if (observed) {
     GaMetrics::Get().fitness_evals->Add(population_.size());
   }
@@ -446,7 +499,7 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
       AllocationMatrix child = CrossoverWith(population_[pa], population_[pb], rng);
       MutateWith(child, rng);
       RepairWith(child, jobs, rng);
-      child_fitnesses[i] = Fitness(jobs, child, options_.restart_penalty, &cluster_);
+      child_fitnesses[i] = scorer.Fitness(child);
       children[i] = std::move(child);
     });
     for (size_t i = 0; i < brood; ++i) {
@@ -477,7 +530,7 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
 
   result.best = population_.front();
   result.fitness = fitnesses.front();
-  result.utility = Utility(jobs, result.best, cluster_.TotalGpus(), &cluster_);
+  result.utility = scorer.Utility(result.best);
   if (observed) {
     GaMetrics::Get().best_fitness->Set(result.fitness);
   }

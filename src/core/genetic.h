@@ -9,8 +9,9 @@
 // evaluated in parallel on a ThreadPool. Every offspring draws from its own
 // Rng stream, forked from the master generator in a fixed order before the
 // parallel region, which makes results bit-identical for any worker count
-// (asserted by core_genetic_determinism_test). Fitness evaluation reads each
-// job's per-round SpeedupTable directly and touches no shared mutable state.
+// (asserted by core_genetic_determinism_test). Fitness evaluation goes
+// through one FitnessScorer per Optimize call, built before the parallel
+// region and only read inside it.
 
 #ifndef POLLUX_CORE_GENETIC_H_
 #define POLLUX_CORE_GENETIC_H_
@@ -112,6 +113,9 @@ class GeneticOptimizer {
   void CompactRacks(AllocationMatrix& matrix) const;
   AllocationMatrix CrossoverWith(const AllocationMatrix& a, const AllocationMatrix& b,
                                  Rng& rng) const;
+  // Repair walks per-node lists of occupied jobs, but every draw keeps the
+  // order and span of a full row or column reservoir scan, so results match
+  // the rescanning kernel bit for bit (pinned by GeneticGoldenTest).
   void RepairWith(AllocationMatrix& matrix, const std::vector<SchedJobInfo>& jobs,
                   Rng& rng) const;
   size_t TournamentPickWith(const std::vector<double>& fitnesses, Rng& rng) const;

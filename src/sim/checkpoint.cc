@@ -8,7 +8,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -251,7 +250,7 @@ void BinReader::Count(uint64_t& count, uint64_t cap, uint64_t min_bytes) {
 std::string BinReader::GetString() {
   uint64_t size = 0;
   Count(size, kUncapped, 1);
-  std::string value = data_.substr(pos_, size);
+  std::string value(data_.substr(pos_, size));
   pos_ += size;
   return value;
 }
@@ -338,7 +337,13 @@ bool ReadSnapshotFile(const std::string& path, std::map<uint32_t, std::string>* 
   if (!in) {
     return Fail(error, "cannot open snapshot " + path);
   }
-  std::string file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // One sized read. A size that cannot be taken (say, of a directory) reads
+  // as an empty file and fails as truncated below.
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string file(ec ? 0 : static_cast<size_t>(size), '\0');
+  in.read(file.data(), static_cast<std::streamsize>(file.size()));
+  file.resize(static_cast<size_t>(in.gcount()));
   if (file.size() < kMagicSize + 4 + kCrcSize) {
     return Corrupt(error, path + ": truncated snapshot (" + std::to_string(file.size()) +
                               " bytes)");
@@ -346,15 +351,13 @@ bool ReadSnapshotFile(const std::string& path, std::map<uint32_t, std::string>* 
   if (std::memcmp(file.data(), kMagic, kMagicSize) != 0) {
     return Corrupt(error, path + ": not a pollux snapshot (bad magic)");
   }
-  const std::string stored_crc_bytes = file.substr(file.size() - kCrcSize);
-  BinReader crc_reader(stored_crc_bytes);
-  const uint32_t stored_crc = crc_reader.GetU32();
-  const uint32_t actual_crc =
-      Crc32(file.data() + kMagicSize, file.size() - kMagicSize - kCrcSize);
-  if (stored_crc != actual_crc) {
+  // Parsed in place: the CRC trailer and the body are views into `file`.
+  const std::string_view bytes(file);
+  const std::string_view body = bytes.substr(kMagicSize, bytes.size() - kMagicSize - kCrcSize);
+  const uint32_t stored_crc = BinReader(bytes.substr(bytes.size() - kCrcSize)).GetU32();
+  if (stored_crc != Crc32(body.data(), body.size())) {
     return Corrupt(error, path + ": CRC mismatch (torn or corrupt write)");
   }
-  const std::string body = file.substr(kMagicSize, file.size() - kMagicSize - kCrcSize);
   BinReader reader(body);
   const uint32_t version = reader.GetU32();
   if (version > kSnapshotVersion) {

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -160,7 +161,8 @@ class BinReader {
  public:
   static constexpr bool kDecode = true;
 
-  explicit BinReader(const std::string& data) : data_(data) {}
+  // Reads `data` in place; the bytes must outlive the reader.
+  explicit BinReader(std::string_view data) : data_(data) {}
 
   uint32_t GetU32();
   uint64_t GetU64();
@@ -252,7 +254,7 @@ class BinReader {
     return probe.str().size();
   }
 
-  const std::string& data_;
+  std::string_view data_;
   size_t pos_ = 0;
   bool ok_ = true;
 };

@@ -98,7 +98,10 @@ int64_t Rng::Poisson(double mean) {
     const double draw = Normal(mean, std::sqrt(mean));
     return draw < 0.0 ? 0 : static_cast<int64_t>(draw + 0.5);
   }
-  const double threshold = std::exp(-mean);
+  // Mean 1 is the GA mutation count's law, drawn once per row per offspring:
+  // its threshold is computed once (the same double std::exp returns).
+  static const double kExpMinusOne = std::exp(-1.0);
+  const double threshold = mean == 1.0 ? kExpMinusOne : std::exp(-mean);
   int64_t count = -1;
   double product = 1.0;
   do {

@@ -269,6 +269,7 @@ std::string ScoreDigest(const ClusterSpec& cluster, int mix, uint64_t seed) {
   std::vector<SchedJobInfo> jobs = JobMix(mix, link);
   // A current allocation shorter than the node count reads as zero-padded.
   jobs.back().current_allocation = {1, 0, 2};
+  const FitnessScorer scorer(jobs, cluster, 0.25);
   Rng gen(seed);
   Digest digest;
   const size_t nodes = cluster.gpus_per_node.size();
@@ -285,8 +286,8 @@ std::string ScoreDigest(const ClusterSpec& cluster, int mix, uint64_t seed) {
         }
       }
     }
-    digest.AddDouble(Fitness(jobs, matrix, 0.25, &cluster));
-    digest.AddDouble(Utility(jobs, matrix, cluster.TotalGpus(), &cluster));
+    digest.AddDouble(scorer.Fitness(matrix));
+    digest.AddDouble(scorer.Utility(matrix));
   }
   return digest.Hex();
 }

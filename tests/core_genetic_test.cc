@@ -184,7 +184,7 @@ TEST(GeneticOptimizeTest, FitnessNeverBelowIncumbent) {
   AllocationMatrix incumbent(2, 4);
   incumbent.SetRow(0, jobs[0].current_allocation);
   incumbent.SetRow(1, jobs[1].current_allocation);
-  const double incumbent_fitness = Fitness(jobs, incumbent, 0.25);
+  const double incumbent_fitness = FitnessScorer(jobs, ga.cluster(), 0.25).Fitness(incumbent);
   const auto result = ga.Optimize(jobs);
   EXPECT_GE(result.fitness, incumbent_fitness - 1e-9);
 }
