@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
@@ -182,6 +183,29 @@ void BM_ThroughputFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThroughputFit);
+
+// One refit shaped like a sim-hyper-5k agent's: a 1-GPU observation plus
+// single-node multi-GPU ones on 4-GPU nodes, so the cross-node parameters are
+// pinned; two extra starts and no outlier pass, as the agent runs it.
+void BM_ThroughputFitHyper(benchmark::State& state) {
+  ThroughputParams truth{0.04, 3e-4, 0.02, 0.001, 0.08, 0.004, 1.8};
+  std::vector<ThroughputObservation> observations;
+  for (const auto& [k, m] : {std::pair{1, 128L}, {2, 256L}, {4, 512L}, {4, 1024L}}) {
+    ThroughputObservation obs;
+    obs.placement = Placement{k, 1};
+    obs.batch_size = m;
+    obs.iter_time = IterTime(truth, obs.placement, static_cast<double>(m));
+    observations.push_back(obs);
+  }
+  FitOptions options;
+  options.max_gpus_seen = 4;
+  options.max_nodes_seen = 1;
+  options.multi_starts = 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FitThroughputParams(observations, options));
+  }
+}
+BENCHMARK(BM_ThroughputFitHyper);
 
 void BM_GnsEstimate(benchmark::State& state) {
   Rng rng(7);
