@@ -13,7 +13,7 @@ namespace {
 
 constexpr double kLogEpsilon = 1e-8;
 
-ThroughputParams UnpackParams(const std::vector<double>& x) {
+ThroughputParams UnpackParams(const double* x) {
   ThroughputParams params;
   params.alpha_grad = x[0];
   params.beta_grad = x[1];
@@ -156,10 +156,11 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
   // compute, keeping extrapolations to other GPU counts sane.
   constexpr double kSyncRidge = 1e-3;
   const std::vector<double> log_iter_times = LogIterTimes(observations);
-  problem.objective = [&](const std::vector<double>& x) {
+  const auto objective = [&](const double* x) {
     return RmsleAgainstLogs(UnpackParams(x), observations, log_iter_times) +
            kSyncRidge * (x[2] + x[3] + x[4] + x[5]);
   };
+  problem.objective = objective;
 
   double alpha_seed = 0.0;
   double beta_seed = 0.0;
@@ -177,7 +178,7 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
   Rng rng(options.seed);
   const LbfgsbResult fit =
       MinimizeBoundedMultiStart(problem, x0, options.multi_starts, rng, lbfgs_options);
-  result.params = UnpackParams(fit.x);
+  result.params = UnpackParams(fit.x.data());
   result.rmsle = fit.value;
   result.evaluations = fit.evaluations;
   return result;

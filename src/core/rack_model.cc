@@ -11,7 +11,7 @@ namespace {
 
 constexpr double kLogEpsilon = 1e-8;
 
-RackThroughputParams UnpackRackParams(const std::vector<double>& x) {
+RackThroughputParams UnpackRackParams(const double* x) {
   RackThroughputParams params;
   params.alpha_grad = x[0];
   params.beta_grad = x[1];
@@ -122,10 +122,11 @@ RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservatio
   problem.lower = lower;
   problem.upper = upper;
   constexpr double kSyncRidge = 1e-3;
-  problem.objective = [&](const std::vector<double>& x) {
+  const auto objective = [&](const double* x) {
     return RackThroughputRmsle(UnpackRackParams(x), observations) +
            kSyncRidge * (x[2] + x[3] + x[4] + x[5] + x[6] + x[7]);
   };
+  problem.objective = objective;
 
   std::vector<double> x0 = {0.01, std::min(1e-4, upper[1]), std::min(0.05, upper[2]),
                             std::min(0.005, upper[3]), std::min(0.1, upper[4]),
@@ -136,7 +137,7 @@ RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservatio
   Rng rng(options.seed);
   const LbfgsbResult fit =
       MinimizeBoundedMultiStart(problem, x0, options.multi_starts, rng, lbfgs_options);
-  result.params = UnpackRackParams(fit.x);
+  result.params = UnpackRackParams(fit.x.data());
   result.rmsle = fit.value;
   result.evaluations = fit.evaluations;
   return result;

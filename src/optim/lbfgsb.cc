@@ -1,163 +1,224 @@
 #include "optim/lbfgsb.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <deque>
+#include <stdexcept>
 
 namespace pollux {
 namespace {
 
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
+// A point of the problem; coordinates [n, kMaxDim) stay 0 and are never read.
+using Point = std::array<double, kMaxDim>;
+
+double Dot(const Point& a, const Point& b, size_t n) {
   double total = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     total += a[i] * b[i];
   }
   return total;
 }
 
-double InfNorm(const std::vector<double>& v) {
+double InfNorm(const Point& v, size_t n) {
   double best = 0.0;
-  for (double x : v) {
-    best = std::max(best, std::fabs(x));
+  for (size_t i = 0; i < n; ++i) {
+    best = std::max(best, std::fabs(v[i]));
   }
   return best;
 }
 
-// A variable is considered pinned to a bound when it sits on the bound and the
-// gradient pushes it further out of the box.
-std::vector<bool> ActiveSet(const std::vector<double>& x, const std::vector<double>& g,
-                            const std::vector<double>& lower, const std::vector<double>& upper) {
-  std::vector<bool> active(x.size(), false);
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double span = std::max(1.0, upper[i] - lower[i]);
-    const double edge = 1e-10 * span;
-    if ((x[i] <= lower[i] + edge && g[i] > 0.0) || (x[i] >= upper[i] - edge && g[i] < 0.0)) {
-      active[i] = true;
-    }
-  }
-  return active;
-}
-
 struct CurvaturePair {
-  std::vector<double> s;
-  std::vector<double> y;
-  double rho;  // 1 / (y . s)
+  Point s{};
+  Point y{};
+  double rho = 0.0;  // 1 / (y . s)
 };
 
-}  // namespace
-
-std::vector<double> ProjectToBox(std::vector<double> x, const std::vector<double>& lower,
-                                 const std::vector<double>& upper) {
-  for (size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::clamp(x[i], lower[i], upper[i]);
-  }
-  return x;
-}
-
-std::vector<double> FiniteDifferenceGradient(const Objective& f, const std::vector<double>& x,
-                                             double fx, const std::vector<double>& lower,
-                                             const std::vector<double>& upper, double epsilon) {
-  std::vector<double> grad(x.size(), 0.0);
-  std::vector<double> probe = x;
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double scale = std::max(1.0, std::fabs(x[i]));
-    double h = epsilon * scale;
-    // Shrink the step so both probe points stay inside the box; fall back to a
-    // one-sided difference when the variable is pinned to a bound.
-    const double room_up = upper[i] - x[i];
-    const double room_down = x[i] - lower[i];
-    if (room_up >= h && room_down >= h) {
-      probe[i] = x[i] + h;
-      const double f_plus = f(probe);
-      probe[i] = x[i] - h;
-      const double f_minus = f(probe);
-      grad[i] = (f_plus - f_minus) / (2.0 * h);
-    } else if (room_up >= room_down) {
-      h = std::min(h, room_up);
-      if (h <= 0.0) {
-        grad[i] = 0.0;
-        probe[i] = x[i];
-        continue;
-      }
-      probe[i] = x[i] + h;
-      const double f_plus = f(probe);
-      grad[i] = (f_plus - fx) / h;
+// The last kHistory curvature pairs, oldest first. One slot beyond the history
+// holds the candidate pair of the step being taken, so building it never
+// overwrites a pair still in use.
+class PairRing {
+ public:
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // The k-th stored pair, 0 being the oldest.
+  const CurvaturePair& operator[](size_t k) const { return slots_[(head_ + k) % slots_.size()]; }
+  const CurvaturePair& back() const { return (*this)[size_ - 1]; }
+  CurvaturePair& candidate() { return slots_[(head_ + size_) % slots_.size()]; }
+  // Stores candidate() as the newest pair, evicting the oldest when full.
+  void Push() {
+    if (size_ == kHistory) {
+      head_ = (head_ + 1) % slots_.size();
     } else {
-      h = std::min(h, room_down);
-      probe[i] = x[i] - h;
-      const double f_minus = f(probe);
-      grad[i] = (fx - f_minus) / h;
+      ++size_;
     }
-    probe[i] = x[i];
   }
-  return grad;
+  void Clear() { size_ = 0; }
+
+ private:
+  std::array<CurvaturePair, kHistory + 1> slots_;
+  size_t head_ = 0;
+  size_t size_ = 0;
+};
+
+// Objective and gradient of one run. Every objective call, the
+// finite-difference probes included, goes through Value, so `evaluations`
+// counts the calls actually made.
+class Evaluator {
+ public:
+  Evaluator(const BoundedProblem& problem, size_t n, double fd_epsilon)
+      : problem_(problem), n_(n), fd_epsilon_(fd_epsilon) {}
+
+  int evaluations() const { return evaluations_; }
+
+  double Value(const Point& x) {
+    ++evaluations_;
+    return problem_.objective(x.data());
+  }
+
+  // Gradient at x, where fx = f(x). Without an analytic gradient, central
+  // differences with steps shrunk so every probe stays inside the box; a
+  // coordinate near a bound takes a one-sided difference against fx, and one
+  // pinned with no room on either side gets 0 without a call.
+  void Gradient(const Point& x, double fx, Point& grad) {
+    if (problem_.gradient) {
+      problem_.gradient(x.data(), grad.data());
+      return;
+    }
+    const std::vector<double>& lower = problem_.lower;
+    const std::vector<double>& upper = problem_.upper;
+    Point probe = x;
+    for (size_t i = 0; i < n_; ++i) {
+      const double scale = std::max(1.0, std::fabs(x[i]));
+      double h = fd_epsilon_ * scale;
+      const double room_up = upper[i] - x[i];
+      const double room_down = x[i] - lower[i];
+      if (room_up >= h && room_down >= h) {
+        probe[i] = x[i] + h;
+        const double f_plus = Value(probe);
+        probe[i] = x[i] - h;
+        const double f_minus = Value(probe);
+        grad[i] = (f_plus - f_minus) / (2.0 * h);
+      } else if (room_up >= room_down) {
+        h = std::min(h, room_up);
+        if (h <= 0.0) {
+          grad[i] = 0.0;
+          probe[i] = x[i];
+          continue;
+        }
+        probe[i] = x[i] + h;
+        const double f_plus = Value(probe);
+        grad[i] = (f_plus - fx) / h;
+      } else {
+        h = std::min(h, room_down);
+        probe[i] = x[i] - h;
+        const double f_minus = Value(probe);
+        grad[i] = (fx - f_minus) / h;
+      }
+      probe[i] = x[i];
+    }
+  }
+
+ private:
+  const BoundedProblem& problem_;
+  size_t n_;
+  double fd_epsilon_;
+  int evaluations_ = 0;
+};
+
+struct Run {
+  Point x{};
+  double value = 0.0;
+  int iterations = 0;
+  int evaluations = 0;
+  bool converged = false;
+};
+
+size_t CheckedDimension(const BoundedProblem& problem, const std::vector<double>& x0) {
+  const size_t n = x0.size();
+  if (n > kMaxDim || problem.lower.size() != n || problem.upper.size() != n) {
+    throw std::invalid_argument("MinimizeBounded: x0 must have at most kMaxDim coordinates and "
+                                "match the size of both bounds");
+  }
+  return n;
 }
 
-LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<double>& x0,
-                             const LbfgsbOptions& options) {
-  const size_t n = x0.size();
+Point ToPoint(const std::vector<double>& v) {
+  Point point{};
+  std::copy(v.begin(), v.end(), point.begin());
+  return point;
+}
+
+LbfgsbResult ToResult(const Run& run, size_t n) {
   LbfgsbResult result;
-  result.x = ProjectToBox(x0, problem.lower, problem.upper);
+  result.x.assign(run.x.begin(), run.x.begin() + static_cast<long>(n));
+  result.value = run.value;
+  result.iterations = run.iterations;
+  result.evaluations = run.evaluations;
+  result.converged = run.converged;
+  return result;
+}
 
-  // Every objective call, including the finite-difference probes, goes
-  // through eval_f, so `evaluations` counts the calls actually made.
-  int evaluations = 0;
-  const Objective eval_f = [&](const std::vector<double>& x) {
-    ++evaluations;
-    return problem.objective(x);
-  };
-  auto eval_g = [&](const std::vector<double>& x, double fx) {
-    if (problem.gradient) {
-      return problem.gradient(x);
-    }
-    return FiniteDifferenceGradient(eval_f, x, fx, problem.lower, problem.upper,
-                                    options.fd_epsilon);
-  };
+Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
+                 const LbfgsbOptions& options) {
+  const std::vector<double>& lower = problem.lower;
+  const std::vector<double>& upper = problem.upper;
+  Evaluator eval(problem, n, options.fd_epsilon);
+  Run run;
+  Point& x = run.x;
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = std::clamp(x0[i], lower[i], upper[i]);
+  }
 
-  double f = eval_f(result.x);
-  std::vector<double> g = eval_g(result.x, f);
-  std::deque<CurvaturePair> pairs;
+  double f = eval.Value(x);
+  Point g{};
+  eval.Gradient(x, f, g);
+  PairRing pairs;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    const std::vector<bool> active = ActiveSet(result.x, g, problem.lower, problem.upper);
-    std::vector<double> pg = g;
+    run.iterations = iter + 1;
+    // A variable is pinned to a bound when it sits on the bound and the
+    // gradient pushes it further out of the box; its projected gradient is 0.
+    std::array<bool, kMaxDim> active{};
+    Point pg{};
     for (size_t i = 0; i < n; ++i) {
-      if (active[i]) {
-        pg[i] = 0.0;
-      }
+      const double span = std::max(1.0, upper[i] - lower[i]);
+      const double edge = 1e-10 * span;
+      active[i] = (x[i] <= lower[i] + edge && g[i] > 0.0) || (x[i] >= upper[i] - edge && g[i] < 0.0);
+      pg[i] = active[i] ? 0.0 : g[i];
     }
-    if (InfNorm(pg) < options.gradient_tolerance) {
-      result.converged = true;
+    if (InfNorm(pg, n) < options.gradient_tolerance) {
+      run.converged = true;
       break;
     }
 
     // Two-loop recursion on the free variables.
-    std::vector<double> direction = pg;
-    for (double& d : direction) {
-      d = -d;
+    Point direction{};
+    for (size_t i = 0; i < n; ++i) {
+      direction[i] = -pg[i];
     }
-    std::vector<double> alphas(pairs.size(), 0.0);
+    std::array<double, kHistory> alphas{};
     for (size_t k = pairs.size(); k-- > 0;) {
-      alphas[k] = pairs[k].rho * Dot(pairs[k].s, direction);
+      const CurvaturePair& pair = pairs[k];
+      alphas[k] = pair.rho * Dot(pair.s, direction, n);
       for (size_t i = 0; i < n; ++i) {
-        direction[i] -= alphas[k] * pairs[k].y[i];
+        direction[i] -= alphas[k] * pair.y[i];
       }
     }
     if (!pairs.empty()) {
-      const auto& last = pairs.back();
-      const double yy = Dot(last.y, last.y);
+      const CurvaturePair& last = pairs.back();
+      const double yy = Dot(last.y, last.y, n);
       if (yy > 0.0) {
-        const double gamma = Dot(last.s, last.y) / yy;
-        for (double& d : direction) {
-          d *= gamma;
+        const double gamma = Dot(last.s, last.y, n) / yy;
+        for (size_t i = 0; i < n; ++i) {
+          direction[i] *= gamma;
         }
       }
     }
     for (size_t k = 0; k < pairs.size(); ++k) {
-      const double beta = pairs[k].rho * Dot(pairs[k].y, direction);
+      const CurvaturePair& pair = pairs[k];
+      const double beta = pair.rho * Dot(pair.y, direction, n);
       for (size_t i = 0; i < n; ++i) {
-        direction[i] += (alphas[k] - beta) * pairs[k].s[i];
+        direction[i] += (alphas[k] - beta) * pair.s[i];
       }
     }
     for (size_t i = 0; i < n; ++i) {
@@ -167,50 +228,48 @@ LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<do
     }
     // Fall back to steepest descent if the quasi-Newton direction is not a
     // descent direction (can happen right after curvature resets).
-    double descent = Dot(g, direction);
+    double descent = Dot(g, direction, n);
     if (!(descent < 0.0)) {
       for (size_t i = 0; i < n; ++i) {
         direction[i] = -pg[i];
       }
-      descent = Dot(g, direction);
+      descent = Dot(g, direction, n);
       if (!(descent < 0.0)) {
-        result.converged = true;
+        run.converged = true;
         break;
       }
     }
 
-    // Projected line search along the given direction: backtracks from step 1
-    // until Armijo holds, then forward-expands by doubling while the objective
+    // Projected line search along `direction`: backtracks from step 1 until
+    // Armijo holds, then forward-expands by doubling while the objective
     // keeps improving (guards against under-scaled quasi-Newton directions
     // when the curvature memory is stale). Returns true on acceptance,
     // filling x_new / f_new.
     double f_new = f;
-    std::vector<double> x_new;
-    auto try_step = [&](double step, std::vector<double>* x_out, double* f_out) {
-      *x_out = result.x;
+    Point x_new{};
+    Point x_try{};
+    auto try_step = [&](double step, Point& x_out, double& f_out) {
       for (size_t i = 0; i < n; ++i) {
-        (*x_out)[i] += step * direction[i];
+        x_out[i] = std::clamp(x[i] + step * direction[i], lower[i], upper[i]);
       }
-      *x_out = ProjectToBox(std::move(*x_out), problem.lower, problem.upper);
-      *f_out = eval_f(*x_out);
+      f_out = eval.Value(x_out);
       double model_decrease = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        model_decrease += g[i] * ((*x_out)[i] - result.x[i]);
+        model_decrease += g[i] * (x_out[i] - x[i]);
       }
-      return model_decrease < 0.0 && *f_out <= f + options.armijo_c1 * model_decrease;
+      return model_decrease < 0.0 && f_out <= f + options.armijo_c1 * model_decrease;
     };
-    auto line_search = [&](const std::vector<double>& dir) {
-      direction = dir;
+    auto line_search = [&] {
       double step = 1.0;
       bool ok = false;
       for (int ls = 0; ls < options.max_line_search_steps; ++ls) {
-        ok = try_step(step, &x_new, &f_new);
+        ok = try_step(step, x_new, f_new);
         if (ok) {
           break;
         }
         bool moved = false;
         for (size_t i = 0; i < n; ++i) {
-          if (x_new[i] != result.x[i]) {
+          if (x_new[i] != x[i]) {
             moved = true;
             break;
           }
@@ -225,75 +284,78 @@ LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<do
       }
       // Forward expansion from the accepted step.
       for (int grow = 0; grow < options.max_line_search_steps; ++grow) {
-        std::vector<double> x_try;
         double f_try = 0.0;
-        if (!try_step(step * 2.0, &x_try, &f_try) || f_try >= f_new) {
+        if (!try_step(step * 2.0, x_try, f_try) || f_try >= f_new) {
           break;
         }
         step *= 2.0;
-        x_new = std::move(x_try);
+        x_new = x_try;
         f_new = f_try;
       }
       return true;
     };
 
-    bool accepted = line_search(direction);
+    bool accepted = line_search();
     if (!accepted && !pairs.empty()) {
       // The quasi-Newton direction can be poorly scaled when the curvature
       // memory is stale; reset it and retry with projected steepest descent.
-      pairs.clear();
-      std::vector<double> steepest(n);
-      const double scale = 1.0 / std::max(1.0, InfNorm(pg));
+      pairs.Clear();
+      const double scale = 1.0 / std::max(1.0, InfNorm(pg, n));
       for (size_t i = 0; i < n; ++i) {
-        steepest[i] = -pg[i] * scale;
+        direction[i] = -pg[i] * scale;
       }
-      accepted = line_search(steepest);
+      accepted = line_search();
     }
     if (!accepted) {
-      result.converged = InfNorm(pg) < 1e-4;
+      run.converged = InfNorm(pg, n) < 1e-4;
       break;
     }
 
-    std::vector<double> g_new = eval_g(x_new, f_new);
-    CurvaturePair pair;
-    pair.s.resize(n);
-    pair.y.resize(n);
+    Point g_new{};
+    eval.Gradient(x_new, f_new, g_new);
+    CurvaturePair& pair = pairs.candidate();
     for (size_t i = 0; i < n; ++i) {
-      pair.s[i] = x_new[i] - result.x[i];
+      pair.s[i] = x_new[i] - x[i];
       pair.y[i] = g_new[i] - g[i];
     }
-    const double sy = Dot(pair.s, pair.y);
-    const double ss = Dot(pair.s, pair.s);
-    if (sy > 1e-12 * std::sqrt(ss) * std::sqrt(Dot(pair.y, pair.y)) && sy > 0.0) {
+    const double sy = Dot(pair.s, pair.y, n);
+    const double ss = Dot(pair.s, pair.s, n);
+    if (sy > 1e-12 * std::sqrt(ss) * std::sqrt(Dot(pair.y, pair.y, n)) && sy > 0.0) {
       pair.rho = 1.0 / sy;
-      pairs.push_back(std::move(pair));
-      if (pairs.size() > static_cast<size_t>(options.history)) {
-        pairs.pop_front();
-      }
+      pairs.Push();
     }
 
     const double f_prev = f;
-    result.x = std::move(x_new);
+    x = x_new;
     f = f_new;
-    g = std::move(g_new);
+    g = g_new;
     if (std::fabs(f_prev - f) <=
         options.function_tolerance * std::max({std::fabs(f_prev), std::fabs(f), 1.0})) {
-      result.converged = true;
+      run.converged = true;
       break;
     }
   }
 
-  result.value = f;
-  result.evaluations = evaluations;
-  return result;
+  run.value = f;
+  run.evaluations = eval.evaluations();
+  return run;
+}
+
+}  // namespace
+
+LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<double>& x0,
+                             const LbfgsbOptions& options) {
+  const size_t n = CheckedDimension(problem, x0);
+  return ToResult(MinimizeFrom(problem, n, ToPoint(x0), options), n);
 }
 
 LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std::vector<double>& x0,
                                        int extra_starts, Rng& rng, const LbfgsbOptions& options) {
-  LbfgsbResult best = MinimizeBounded(problem, x0, options);
+  const size_t n = CheckedDimension(problem, x0);
+  Run best = MinimizeFrom(problem, n, ToPoint(x0), options);
   for (int s = 0; s < extra_starts; ++s) {
-    std::vector<double> start(x0.size());
-    for (size_t i = 0; i < start.size(); ++i) {
+    Point start{};
+    for (size_t i = 0; i < n; ++i) {
       const double lo = problem.lower[i];
       const double hi = problem.upper[i];
       if (std::isfinite(lo) && std::isfinite(hi)) {
@@ -306,12 +368,12 @@ LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std:
         start[i] = rng.Normal(0.0, 1.0);
       }
     }
-    LbfgsbResult candidate = MinimizeBounded(problem, start, options);
+    const Run candidate = MinimizeFrom(problem, n, start, options);
     if (candidate.value < best.value) {
-      best = std::move(candidate);
+      best = candidate;
     }
   }
-  return best;
+  return ToResult(best, n);
 }
 
 }  // namespace pollux

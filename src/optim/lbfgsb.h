@@ -14,25 +14,71 @@
 // class of problems (small dense box-constrained smooth minimization) and is
 // validated in tests against quadratics, the Rosenbrock function, and
 // bound-active solutions.
+//
+// The solver is sized for the θ_sys fits: every point, gradient and
+// curvature pair lives in a fixed-capacity array of kMaxDim coordinates, the
+// last kHistory pairs sit in a ring, and the objective is called through a
+// non-owning reference, so a run allocates nothing per iteration or per
+// evaluation.
 
 #ifndef POLLUX_OPTIM_LBFGSB_H_
 #define POLLUX_OPTIM_LBFGSB_H_
 
-#include <functional>
+#include <cstddef>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.h"
 
 namespace pollux {
 
-using Objective = std::function<double(const std::vector<double>&)>;
-using Gradient = std::function<std::vector<double>(const std::vector<double>&)>;
+// Largest problem the solver takes (the rack-aware θ_sys fit has 9
+// parameters).
+inline constexpr size_t kMaxDim = 9;
+
+// Curvature pairs (s, y) kept for the two-loop recursion; the oldest is
+// evicted first.
+inline constexpr size_t kHistory = 8;
+
+// A non-owning reference to a callable, invoked through one function pointer.
+// It binds to lvalues only, so it cannot hold a temporary lambda that dies
+// before the call; the callable must outlive the reference.
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  FunctionRef() = default;
+
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cv_t<F>, FunctionRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  FunctionRef(F& f)  // NOLINT(google-explicit-constructor): binds like a reference.
+      : callable_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        invoke_([](void* callable, Args... args) -> R {
+          return (*static_cast<F*>(callable))(args...);
+        }) {}
+
+  R operator()(Args... args) const { return invoke_(callable_, args...); }
+  explicit operator bool() const { return invoke_ != nullptr; }
+
+ private:
+  void* callable_ = nullptr;
+  R (*invoke_)(void*, Args...) = nullptr;
+};
 
 struct BoundedProblem {
-  Objective objective;
-  // Optional analytic gradient; when absent, central finite differences with
-  // step `LbfgsbOptions::fd_epsilon` are used.
-  Gradient gradient;
+  // f(x) over x[0, n).
+  FunctionRef<double(const double* x)> objective;
+  // Optional analytic gradient: writes the gradient at x[0, n) into
+  // grad[0, n). When unset, central finite differences with step
+  // `LbfgsbOptions::fd_epsilon` are used, shrunk near the box boundary so
+  // every probe stays feasible: two probes per interior coordinate, one (the
+  // other side reuses f(x)) per coordinate near a bound, and none for a
+  // coordinate pinned with no room on either side.
+  FunctionRef<void(const double* x, double* grad)> gradient;
   std::vector<double> lower;
   std::vector<double> upper;
 };
@@ -44,8 +90,6 @@ struct LbfgsbOptions {
   double gradient_tolerance = 1e-7;
   // Convergence when the relative objective decrease drops below this.
   double function_tolerance = 1e-12;
-  // Number of stored (s, y) curvature pairs.
-  int history = 8;
   double fd_epsilon = 1e-6;
   // Armijo sufficient-decrease constant.
   double armijo_c1 = 1e-4;
@@ -61,20 +105,9 @@ struct LbfgsbResult {
   bool converged = false;
 };
 
-// Clamps each coordinate of x into [lower, upper].
-std::vector<double> ProjectToBox(std::vector<double> x, const std::vector<double>& lower,
-                                 const std::vector<double>& upper);
-
-// Central finite-difference gradient of `f` at `x`, with steps shrunk near the
-// box boundary so evaluation points stay feasible. `fx` is f(x), which the
-// one-sided differences at a bound reuse instead of re-evaluating. Calls `f`
-// twice per interior coordinate, once per coordinate near a bound, and never
-// for a coordinate pinned with no room on either side.
-std::vector<double> FiniteDifferenceGradient(const Objective& f, const std::vector<double>& x,
-                                             double fx, const std::vector<double>& lower,
-                                             const std::vector<double>& upper, double epsilon);
-
-// Minimizes the problem starting from x0 (projected into the box first).
+// Minimizes the problem starting from x0, clamped into the box first. Throws
+// std::invalid_argument when x0 has more than kMaxDim coordinates or the
+// bounds do not match its size.
 LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<double>& x0,
                              const LbfgsbOptions& options = {});
 

@@ -316,9 +316,10 @@ TEST(LbfgsbGoldenTest, RosenbrockMatchesRecordedDigest) {
       BoundedProblem problem;
       problem.lower.assign(n, -2.0);
       problem.upper.assign(n, 2.0);
-      problem.objective = [n, rippled](const std::vector<double>& x) {
-        return rippled ? RippledRosenbrock(x.data(), n) : Rosenbrock(x.data(), n);
+      const auto objective = [n, rippled](const double* x) {
+        return rippled ? RippledRosenbrock(x, n) : Rosenbrock(x, n);
       };
+      problem.objective = objective;
       std::vector<double> x0(n, -1.2);
       x0[n - 1] = 1.0;
       AddSolverResult(digest, MinimizeBounded(problem, x0, options));
@@ -328,11 +329,14 @@ TEST(LbfgsbGoldenTest, RosenbrockMatchesRecordedDigest) {
   BoundedProblem problem;
   problem.lower = {-5.0, -5.0};
   problem.upper = {5.0, 5.0};
-  problem.objective = [](const std::vector<double>& x) { return Rosenbrock(x.data(), 2); };
-  problem.gradient = [](const std::vector<double>& x) {
+  const auto objective = [](const double* x) { return Rosenbrock(x, 2); };
+  const auto gradient = [](const double* x, double* grad) {
     const double b = x[1] - x[0] * x[0];
-    return std::vector<double>{-2.0 * (1.0 - x[0]) - 400.0 * x[0] * b, 200.0 * b};
+    grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * b;
+    grad[1] = 200.0 * b;
   };
+  problem.objective = objective;
+  problem.gradient = gradient;
   AddSolverResult(digest, MinimizeBounded(problem, {-1.2, 1.0}, options));
   EXPECT_EQ(digest.Hex(), "f2cd50db581552db");
 }
@@ -346,7 +350,7 @@ TEST(LbfgsbGoldenTest, BoxQuadraticsMatchRecordedDigest) {
     BoundedProblem problem;
     problem.lower = q.lower;
     problem.upper = q.upper;
-    problem.objective = [&q](const std::vector<double>& x) { return q(x.data()); };
+    problem.objective = q;
     AddSolverResult(digest, MinimizeBounded(problem, q.x0, options));
   }
   EXPECT_EQ(digest.Hex(), "6f8752ece9b4c376");

@@ -3,50 +3,107 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 namespace pollux {
 namespace {
 
 constexpr double kInf = 1e30;
 
-TEST(ProjectToBoxTest, ClampsEachCoordinate) {
-  const auto projected = ProjectToBox({-1.0, 0.5, 9.0}, {0.0, 0.0, 0.0}, {1.0, 1.0, 1.0});
-  EXPECT_DOUBLE_EQ(projected[0], 0.0);
-  EXPECT_DOUBLE_EQ(projected[1], 0.5);
-  EXPECT_DOUBLE_EQ(projected[2], 1.0);
+// Records every point the solver evaluates, so the tests can read the
+// finite-difference probes and trial steps it takes.
+struct RecordingObjective {
+  size_t n;
+  double (*f)(const double* x);
+  std::vector<std::vector<double>> points;
+
+  double operator()(const double* x) {
+    points.emplace_back(x, x + n);
+    return f(x);
+  }
+};
+
+TEST(LbfgsbTest, ClampsStartIntoBox) {
+  RecordingObjective objective{3, [](const double* x) { return x[0] + x[1] + x[2]; }, {}};
+  BoundedProblem problem;
+  problem.objective = objective;
+  problem.lower = {0.0, 0.0, 0.0};
+  problem.upper = {1.0, 1.0, 1.0};
+  LbfgsbOptions options;
+  options.max_iterations = 0;
+  MinimizeBounded(problem, {-1.0, 0.5, 9.0}, options);
+  ASSERT_FALSE(objective.points.empty());
+  EXPECT_EQ(objective.points[0], (std::vector<double>{0.0, 0.5, 1.0}));
 }
 
-TEST(FiniteDifferenceTest, MatchesAnalyticGradient) {
-  const Objective f = [](const std::vector<double>& x) {
-    return x[0] * x[0] + 3.0 * x[0] * x[1] + 2.0 * x[1] * x[1];
-  };
+// Without pairs the first trial step is x - g, so it reads back the
+// finite-difference gradient at the start.
+TEST(LbfgsbTest, FirstStepFollowsFiniteDifferenceGradient) {
+  RecordingObjective objective{
+      2, [](const double* x) { return x[0] * x[0] + 3.0 * x[0] * x[1] + 2.0 * x[1] * x[1]; }, {}};
+  BoundedProblem problem;
+  problem.objective = objective;
+  problem.lower = {-kInf, -kInf};
+  problem.upper = {kInf, kInf};
+  LbfgsbOptions options;
+  options.max_iterations = 1;
   const std::vector<double> x = {1.5, -2.0};
-  const auto grad = FiniteDifferenceGradient(f, x, f(x), {-kInf, -kInf}, {kInf, kInf}, 1e-6);
-  EXPECT_NEAR(grad[0], 2.0 * x[0] + 3.0 * x[1], 1e-5);
-  EXPECT_NEAR(grad[1], 3.0 * x[0] + 4.0 * x[1], 1e-5);
+  MinimizeBounded(problem, x, options);
+  // f(x), two central probes per coordinate, then the first trial step.
+  ASSERT_GE(objective.points.size(), 6u);
+  const std::vector<double>& trial = objective.points[5];
+  EXPECT_NEAR(x[0] - trial[0], 2.0 * x[0] + 3.0 * x[1], 1e-5);
+  EXPECT_NEAR(x[1] - trial[1], 3.0 * x[0] + 4.0 * x[1], 1e-5);
 }
 
-TEST(FiniteDifferenceTest, OneSidedAtBoundary) {
-  const Objective f = [](const std::vector<double>& x) { return x[0] * x[0]; };
-  // x sits exactly on the lower bound; gradient should still be ~2x.
-  const auto grad = FiniteDifferenceGradient(f, {2.0}, 4.0, {2.0}, {10.0}, 1e-6);
-  EXPECT_NEAR(grad[0], 4.0, 1e-3);
+TEST(LbfgsbTest, OneSidedDifferenceAtBound) {
+  RecordingObjective objective{1, [](const double* x) { return (x[0] - 5.0) * (x[0] - 5.0); }, {}};
+  BoundedProblem problem;
+  problem.objective = objective;
+  problem.lower = {2.0};
+  problem.upper = {10.0};
+  LbfgsbOptions options;
+  options.max_iterations = 1;
+  MinimizeBounded(problem, {2.0}, options);
+  // x sits on the lower bound: one probe above it, then the trial step
+  // x - g with g ~ -6 from the one-sided difference.
+  ASSERT_GE(objective.points.size(), 3u);
+  EXPECT_GT(objective.points[1][0], 2.0);
+  EXPECT_NEAR(2.0 - objective.points[2][0], -6.0, 1e-3);
 }
 
-TEST(FiniteDifferenceTest, CallsObjectiveOnlyForProbes) {
-  int calls = 0;
-  const Objective f = [&calls](const std::vector<double>& x) {
-    ++calls;
-    return x[0] * x[0] + x[1] * x[1] + x[2] * x[2];
-  };
+TEST(LbfgsbTest, GradientProbesOnlyCoordinatesWithRoom) {
+  RecordingObjective objective{
+      3, [](const double* x) { return x[0] * x[0] + x[1] * x[1] + x[2] * x[2]; }, {}};
+  BoundedProblem problem;
+  problem.objective = objective;
+  problem.lower = {-kInf, 2.0, 3.0};
+  problem.upper = {kInf, 10.0, 3.0};
+  LbfgsbOptions options;
+  options.max_iterations = 0;
   // Coordinate 0 is interior (two probes), 1 sits on its lower bound (one
-  // probe, f(x) comes from the caller), 2 is pinned (no probe).
-  const std::vector<double> x = {1.0, 2.0, 3.0};
-  const auto grad = FiniteDifferenceGradient(f, x, 14.0, {-kInf, 2.0, 3.0}, {kInf, 10.0, 3.0}, 1e-6);
-  EXPECT_EQ(calls, 3);
-  EXPECT_NEAR(grad[0], 2.0, 1e-5);
-  EXPECT_NEAR(grad[1], 4.0, 1e-3);
-  EXPECT_EQ(grad[2], 0.0);
+  // probe, f(x) is reused), 2 is pinned (no probe).
+  const auto result = MinimizeBounded(problem, {1.0, 2.0, 3.0}, options);
+  EXPECT_EQ(result.evaluations, 4);
+  ASSERT_EQ(objective.points.size(), 4u);
+  for (const std::vector<double>& point : objective.points) {
+    EXPECT_GE(point[1], 2.0);
+    EXPECT_EQ(point[2], 3.0);
+  }
+}
+
+TEST(LbfgsbTest, RejectsOversizedOrMismatchedProblems) {
+  const auto f = [](const double*) { return 0.0; };
+  BoundedProblem problem;
+  problem.objective = f;
+  problem.lower.assign(kMaxDim + 1, 0.0);
+  problem.upper.assign(kMaxDim + 1, 1.0);
+  EXPECT_THROW(MinimizeBounded(problem, std::vector<double>(kMaxDim + 1, 0.5)),
+               std::invalid_argument);
+  problem.lower = {0.0, 0.0};
+  problem.upper = {1.0};
+  EXPECT_THROW(MinimizeBounded(problem, {0.5, 0.5}), std::invalid_argument);
 }
 
 TEST(LbfgsbTest, EvaluationsCountObjectiveCalls) {
@@ -54,10 +111,11 @@ TEST(LbfgsbTest, EvaluationsCountObjectiveCalls) {
   BoundedProblem problem;
   problem.lower = {0.0, 0.0, 1.0};
   problem.upper = {10.0, 10.0, 1.0};
-  problem.objective = [&calls](const std::vector<double>& x) {
+  const auto objective = [&calls](const double* x) {
     ++calls;
     return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0) + x[2];
   };
+  problem.objective = objective;
   const auto result = MinimizeBounded(problem, {5.0, 5.0, 1.0});
   EXPECT_NEAR(result.x[1], 0.0, 1e-6);
   EXPECT_EQ(result.evaluations, calls);
@@ -67,9 +125,10 @@ TEST(LbfgsbTest, QuadraticUnconstrained) {
   BoundedProblem problem;
   problem.lower = {-kInf, -kInf};
   problem.upper = {kInf, kInf};
-  problem.objective = [](const std::vector<double>& x) {
+  const auto objective = [](const double* x) {
     return (x[0] - 1.0) * (x[0] - 1.0) + 10.0 * (x[1] + 2.0) * (x[1] + 2.0);
   };
+  problem.objective = objective;
   const auto result = MinimizeBounded(problem, {5.0, 5.0});
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.x[0], 1.0, 1e-4);
@@ -82,9 +141,10 @@ TEST(LbfgsbTest, ActiveBoundSolution) {
   BoundedProblem problem;
   problem.lower = {0.0, 0.0};
   problem.upper = {10.0, 10.0};
-  problem.objective = [](const std::vector<double>& x) {
+  const auto objective = [](const double* x) {
     return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0);
   };
+  problem.objective = objective;
   const auto result = MinimizeBounded(problem, {5.0, 5.0});
   EXPECT_NEAR(result.x[0], 1.0, 1e-4);
   EXPECT_NEAR(result.x[1], 0.0, 1e-6);
@@ -94,15 +154,18 @@ TEST(LbfgsbTest, RosenbrockWithAnalyticGradient) {
   BoundedProblem problem;
   problem.lower = {-5.0, -5.0};
   problem.upper = {5.0, 5.0};
-  problem.objective = [](const std::vector<double>& x) {
+  const auto objective = [](const double* x) {
     const double a = 1.0 - x[0];
     const double b = x[1] - x[0] * x[0];
     return a * a + 100.0 * b * b;
   };
-  problem.gradient = [](const std::vector<double>& x) {
+  problem.objective = objective;
+  const auto gradient = [](const double* x, double* grad) {
     const double b = x[1] - x[0] * x[0];
-    return std::vector<double>{-2.0 * (1.0 - x[0]) - 400.0 * x[0] * b, 200.0 * b};
+    grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * b;
+    grad[1] = 200.0 * b;
   };
+  problem.gradient = gradient;
   LbfgsbOptions options;
   options.max_iterations = 500;
   const auto result = MinimizeBounded(problem, {-1.2, 1.0}, options);
@@ -114,11 +177,12 @@ TEST(LbfgsbTest, RosenbrockWithFiniteDifferences) {
   BoundedProblem problem;
   problem.lower = {-5.0, -5.0};
   problem.upper = {5.0, 5.0};
-  problem.objective = [](const std::vector<double>& x) {
+  const auto objective = [](const double* x) {
     const double a = 1.0 - x[0];
     const double b = x[1] - x[0] * x[0];
     return a * a + 100.0 * b * b;
   };
+  problem.objective = objective;
   LbfgsbOptions options;
   options.max_iterations = 500;
   const auto result = MinimizeBounded(problem, {-1.2, 1.0}, options);
@@ -130,7 +194,8 @@ TEST(LbfgsbTest, StartOutsideBoxIsProjected) {
   BoundedProblem problem;
   problem.lower = {0.0};
   problem.upper = {1.0};
-  problem.objective = [](const std::vector<double>& x) { return (x[0] - 0.25) * (x[0] - 0.25); };
+  const auto objective = [](const double* x) { return (x[0] - 0.25) * (x[0] - 0.25); };
+  problem.objective = objective;
   const auto result = MinimizeBounded(problem, {100.0});
   EXPECT_NEAR(result.x[0], 0.25, 1e-5);
 }
@@ -141,10 +206,11 @@ TEST(LbfgsbTest, MultiStartEscapesPoorBasin) {
   BoundedProblem problem;
   problem.lower = {-3.0};
   problem.upper = {3.0};
-  problem.objective = [](const std::vector<double>& x) {
+  const auto objective = [](const double* x) {
     const double w = x[0] * x[0] - 1.0;
     return w * w + 0.5 * (1.0 - x[0]);
   };
+  problem.objective = objective;
   const auto single = MinimizeBounded(problem, {-1.2});
   Rng rng(7);
   const auto multi = MinimizeBoundedMultiStart(problem, {-1.2}, 8, rng);
@@ -156,7 +222,8 @@ TEST(LbfgsbTest, FullyPinnedBoxReturnsImmediately) {
   BoundedProblem problem;
   problem.lower = {2.0, 3.0};
   problem.upper = {2.0, 3.0};
-  problem.objective = [](const std::vector<double>& x) { return x[0] + x[1]; };
+  const auto objective = [](const double* x) { return x[0] + x[1]; };
+  problem.objective = objective;
   const auto result = MinimizeBounded(problem, {0.0, 0.0});
   EXPECT_DOUBLE_EQ(result.x[0], 2.0);
   EXPECT_DOUBLE_EQ(result.x[1], 3.0);
@@ -172,9 +239,10 @@ TEST_P(LbfgsbConditioningSweep, SolvesIllConditionedQuadratic) {
   BoundedProblem problem;
   problem.lower = {-kInf, -kInf};
   problem.upper = {kInf, kInf};
-  problem.objective = [kappa](const std::vector<double>& x) {
+  const auto objective = [kappa](const double* x) {
     return x[0] * x[0] + kappa * x[1] * x[1];
   };
+  problem.objective = objective;
   LbfgsbOptions options;
   options.max_iterations = 1000;
   const auto result = MinimizeBounded(problem, {3.0, 3.0}, options);
