@@ -183,7 +183,8 @@ Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
     for (size_t i = 0; i < n; ++i) {
       const double span = std::max(1.0, upper[i] - lower[i]);
       const double edge = 1e-10 * span;
-      active[i] = (x[i] <= lower[i] + edge && g[i] > 0.0) || (x[i] >= upper[i] - edge && g[i] < 0.0);
+      active[i] =
+          (x[i] <= lower[i] + edge && g[i] > 0.0) || (x[i] >= upper[i] - edge && g[i] < 0.0);
       pg[i] = active[i] ? 0.0 : g[i];
     }
     if (InfNorm(pg, n) < options.gradient_tolerance) {
@@ -353,6 +354,7 @@ LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std:
                                        int extra_starts, Rng& rng, const LbfgsbOptions& options) {
   const size_t n = CheckedDimension(problem, x0);
   Run best = MinimizeFrom(problem, n, ToPoint(x0), options);
+  int evaluations = best.evaluations;
   for (int s = 0; s < extra_starts; ++s) {
     Point start{};
     for (size_t i = 0; i < n; ++i) {
@@ -369,10 +371,12 @@ LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std:
       }
     }
     const Run candidate = MinimizeFrom(problem, n, start, options);
+    evaluations += candidate.evaluations;
     if (candidate.value < best.value) {
       best = candidate;
     }
   }
+  best.evaluations = evaluations;
   return ToResult(best, n);
 }
 

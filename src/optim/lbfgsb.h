@@ -112,7 +112,8 @@ LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<do
                              const LbfgsbOptions& options = {});
 
 // Runs MinimizeBounded from x0 plus `extra_starts` random interior points and
-// returns the best result. Deterministic given `rng`.
+// returns the best result, with `evaluations` summed over every start.
+// Deterministic given `rng`.
 LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std::vector<double>& x0,
                                        int extra_starts, Rng& rng,
                                        const LbfgsbOptions& options = {});

@@ -217,8 +217,11 @@ TEST(FitGoldenTest, RackFitsMatchRecordedDigest) {
   EXPECT_EQ(AllFitDigests().rack, "6c37cf4abb1fd114");
 }
 
+// Re-recorded once, when MinimizeBoundedMultiStart began counting the
+// objective calls of every start rather than the winning start's alone; the
+// fit digests above did not move.
 TEST(FitGoldenTest, EvaluationsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().evaluations, "65c0c2184f387c28");
+  EXPECT_EQ(AllFitDigests().evaluations, "8e1d1dc2ac5c6bf5");
 }
 
 // ---------------------------------------------------------------------------

@@ -121,6 +121,25 @@ TEST(LbfgsbTest, EvaluationsCountObjectiveCalls) {
   EXPECT_EQ(result.evaluations, calls);
 }
 
+TEST(LbfgsbTest, MultiStartEvaluationsCountEveryStart) {
+  int calls = 0;
+  const auto objective = [&calls](const double* x) {
+    ++calls;
+    const double w = x[0] * x[0] - 1.0;
+    return w * w + 0.5 * (1.0 - x[0]);
+  };
+  BoundedProblem problem;
+  problem.objective = objective;
+  problem.lower = {-3.0};
+  problem.upper = {3.0};
+  Rng rng(7);
+  const auto result = MinimizeBoundedMultiStart(problem, {-1.2}, 4, rng);
+  EXPECT_EQ(result.evaluations, calls);
+  calls = 0;
+  const auto first = MinimizeBounded(problem, {-1.2});
+  EXPECT_GT(result.evaluations, first.evaluations);
+}
+
 TEST(LbfgsbTest, QuadraticUnconstrained) {
   BoundedProblem problem;
   problem.lower = {-kInf, -kInf};
