@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace pollux {
 namespace {
@@ -125,14 +126,6 @@ class Evaluator {
   int evaluations_ = 0;
 };
 
-struct Run {
-  Point x{};
-  double value = 0.0;
-  int iterations = 0;
-  int evaluations = 0;
-  bool converged = false;
-};
-
 size_t CheckedDimension(const BoundedProblem& problem, const std::vector<double>& x0) {
   const size_t n = x0.size();
   if (n > kMaxDim || problem.lower.size() != n || problem.upper.size() != n) {
@@ -148,23 +141,13 @@ Point ToPoint(const std::vector<double>& v) {
   return point;
 }
 
-LbfgsbResult ToResult(const Run& run, size_t n) {
-  LbfgsbResult result;
-  result.x.assign(run.x.begin(), run.x.begin() + static_cast<long>(n));
-  result.value = run.value;
-  result.iterations = run.iterations;
-  result.evaluations = run.evaluations;
-  result.converged = run.converged;
-  return result;
-}
-
-Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
-                 const LbfgsbOptions& options) {
+LbfgsbResult MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
+                          const LbfgsbOptions& options) {
   const std::vector<double>& lower = problem.lower;
   const std::vector<double>& upper = problem.upper;
   Evaluator eval(problem, n, options.fd_epsilon);
-  Run run;
-  Point& x = run.x;
+  LbfgsbResult result;
+  Point x{};
   for (size_t i = 0; i < n; ++i) {
     x[i] = std::clamp(x0[i], lower[i], upper[i]);
   }
@@ -175,7 +158,7 @@ Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
   PairRing pairs;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    run.iterations = iter + 1;
+    result.iterations = iter + 1;
     // A variable is pinned to a bound when it sits on the bound and the
     // gradient pushes it further out of the box; its projected gradient is 0.
     std::array<bool, kMaxDim> active{};
@@ -188,7 +171,7 @@ Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
       pg[i] = active[i] ? 0.0 : g[i];
     }
     if (InfNorm(pg, n) < options.gradient_tolerance) {
-      run.converged = true;
+      result.converged = true;
       break;
     }
 
@@ -236,7 +219,7 @@ Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
       }
       descent = Dot(g, direction, n);
       if (!(descent < 0.0)) {
-        run.converged = true;
+        result.converged = true;
         break;
       }
     }
@@ -308,7 +291,7 @@ Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
       accepted = line_search();
     }
     if (!accepted) {
-      run.converged = InfNorm(pg, n) < 1e-4;
+      result.converged = InfNorm(pg, n) < 1e-4;
       break;
     }
 
@@ -332,14 +315,15 @@ Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
     g = g_new;
     if (std::fabs(f_prev - f) <=
         options.function_tolerance * std::max({std::fabs(f_prev), std::fabs(f), 1.0})) {
-      run.converged = true;
+      result.converged = true;
       break;
     }
   }
 
-  run.value = f;
-  run.evaluations = eval.evaluations();
-  return run;
+  result.x.assign(x.begin(), x.begin() + static_cast<long>(n));
+  result.value = f;
+  result.evaluations = eval.evaluations();
+  return result;
 }
 
 }  // namespace
@@ -347,13 +331,13 @@ Run MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& x0,
 LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<double>& x0,
                              const LbfgsbOptions& options) {
   const size_t n = CheckedDimension(problem, x0);
-  return ToResult(MinimizeFrom(problem, n, ToPoint(x0), options), n);
+  return MinimizeFrom(problem, n, ToPoint(x0), options);
 }
 
 LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std::vector<double>& x0,
                                        int extra_starts, Rng& rng, const LbfgsbOptions& options) {
   const size_t n = CheckedDimension(problem, x0);
-  Run best = MinimizeFrom(problem, n, ToPoint(x0), options);
+  LbfgsbResult best = MinimizeFrom(problem, n, ToPoint(x0), options);
   int evaluations = best.evaluations;
   for (int s = 0; s < extra_starts; ++s) {
     Point start{};
@@ -370,14 +354,14 @@ LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std:
         start[i] = rng.Normal(0.0, 1.0);
       }
     }
-    const Run candidate = MinimizeFrom(problem, n, start, options);
+    LbfgsbResult candidate = MinimizeFrom(problem, n, start, options);
     evaluations += candidate.evaluations;
     if (candidate.value < best.value) {
-      best = candidate;
+      best = std::move(candidate);
     }
   }
   best.evaluations = evaluations;
-  return ToResult(best, n);
+  return best;
 }
 
 }  // namespace pollux

@@ -135,9 +135,7 @@ TEST(LbfgsbTest, MultiStartEvaluationsCountEveryStart) {
   Rng rng(7);
   const auto result = MinimizeBoundedMultiStart(problem, {-1.2}, 4, rng);
   EXPECT_EQ(result.evaluations, calls);
-  calls = 0;
-  const auto first = MinimizeBounded(problem, {-1.2});
-  EXPECT_GT(result.evaluations, first.evaluations);
+  EXPECT_GT(result.evaluations, MinimizeBounded(problem, {-1.2}).evaluations);
 }
 
 TEST(LbfgsbTest, QuadraticUnconstrained) {
