@@ -162,6 +162,34 @@ void BM_GaFitness(benchmark::State& state) {
 }
 BENCHMARK(BM_GaFitness);
 
+// One full scheduling round on the GaRoundFixture shape: 25 generations of
+// 40 offspring, as PolluxSched runs them on sim-exact-160, at 1/2/4 threads.
+// Each iteration starts from the population the previous one persisted.
+void BM_GaRound(benchmark::State& state) {
+  GaRoundFixture round;
+  GaOptions options;
+  options.population_size = 40;
+  options.generations = 25;
+  options.threads = static_cast<int>(state.range(0));
+  GeneticOptimizer ga(round.ga.cluster(), options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ga.Optimize(round.jobs));
+  }
+}
+BENCHMARK(BM_GaRound)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// UniformInt over the small spans the GA draws (reservoir picks, node and
+// GPU-count choices): 1 to 16 values.
+void BM_RngUniformInt(benchmark::State& state) {
+  Rng rng(11);
+  int64_t hi = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.UniformInt(1, hi));
+    hi = hi < 16 ? hi + 1 : 1;
+  }
+}
+BENCHMARK(BM_RngUniformInt);
+
 void BM_ThroughputFit(benchmark::State& state) {
   ThroughputParams truth{0.04, 3e-4, 0.02, 0.001, 0.08, 0.004, 1.8};
   std::vector<ThroughputObservation> observations;

@@ -4,7 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace pollux {
 namespace {
@@ -163,6 +170,106 @@ TEST(RngTest, ForkProducesIndependentStream) {
     }
   }
   EXPECT_LT(equal, 4);
+}
+
+// ---------------------------------------------------------------------------
+// Golden digest of the draw sequences. The value below was recorded with the
+// out-of-line UniformInt that computed its rejection limit with a division on
+// every draw. It folds in every drawn value and, after each block, the full
+// generator state, so a change to any returned value or to the number of
+// NextU64 calls behind it moves the digest.
+
+class Digest {
+ public:
+  void Add(uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (value >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void AddDouble(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Add(bits);
+  }
+  void AddRng(const Rng::State& state) {
+    for (uint64_t word : state.words) {
+      Add(word);
+    }
+    AddDouble(state.cached_normal);
+    Add(state.has_cached_normal ? 1 : 0);
+  }
+  std::string Hex() const {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(hash_));
+    return hex;
+  }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// 500 UniformInt draws over `span` values (0 means all 2^64), centred on 0.
+void AddUniformIntBlock(Digest& digest, Rng& rng, uint64_t span) {
+  const int64_t lo = span == 0 ? std::numeric_limits<int64_t>::min()
+                               : static_cast<int64_t>(uint64_t{0} - span / 2);
+  const int64_t hi = static_cast<int64_t>(static_cast<uint64_t>(lo) + (span - 1));
+  for (int i = 0; i < 500; ++i) {
+    digest.Add(static_cast<uint64_t>(rng.UniformInt(lo, hi)));
+  }
+  digest.AddRng(rng.GetState());
+}
+
+TEST(RngGoldenTest, DrawsMatchRecordedDigest) {
+  Rng rng(2718281828);
+  Digest digest;
+  for (uint64_t span : {1, 2, 3, 7}) {
+    AddUniformIntBlock(digest, rng, span);
+  }
+  for (int k : {5, 31, 32, 62, 63}) {
+    const uint64_t power = uint64_t{1} << k;
+    for (uint64_t span : {power - 1, power, power + 1}) {
+      AddUniformIntBlock(digest, rng, span);
+    }
+  }
+  // Above 2^63 the rejection loop draws again for up to a quarter of draws.
+  for (uint64_t span : {(uint64_t{1} << 63) + (uint64_t{1} << 61), uint64_t{3} << 62,
+                        ~uint64_t{0} - (uint64_t{1} << 32)}) {
+    AddUniformIntBlock(digest, rng, span);
+  }
+  AddUniformIntBlock(digest, rng, 0);
+
+  for (int i = 0; i < 500; ++i) {
+    digest.AddDouble(rng.NextDouble());
+  }
+  digest.AddRng(rng.GetState());
+  for (double mean : {1.0, 100.0}) {
+    for (int i = 0; i < 500; ++i) {
+      digest.Add(static_cast<uint64_t>(rng.Poisson(mean)));
+    }
+    digest.AddRng(rng.GetState());
+  }
+  for (int i = 0; i < 501; ++i) {
+    digest.AddDouble(rng.Normal());
+  }
+  digest.AddRng(rng.GetState());
+  std::vector<int> items(100);
+  std::iota(items.begin(), items.end(), 0);
+  for (int round = 0; round < 5; ++round) {
+    rng.Shuffle(items);
+    for (int item : items) {
+      digest.Add(static_cast<uint64_t>(item));
+    }
+  }
+  digest.AddRng(rng.GetState());
+  for (int i = 0; i < 20; ++i) {
+    Rng child = rng.Fork();
+    digest.Add(child.NextU64());
+    digest.Add(static_cast<uint64_t>(child.UniformInt(0, 39)));
+    digest.AddRng(child.GetState());
+  }
+  digest.AddRng(rng.GetState());
+  EXPECT_EQ(digest.Hex(), "1a3d1ee92af05bf8");
 }
 
 }  // namespace
