@@ -1,7 +1,8 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,7 +12,6 @@ namespace {
 
 struct PoolMetrics {
   obs::Counter* tasks;
-  obs::Gauge* queue_depth;
   obs::Histogram* task_latency_s;
 
   static const PoolMetrics& Get() {
@@ -23,10 +23,37 @@ struct PoolMetrics {
   PoolMetrics() {
     auto& registry = obs::MetricsRegistry::Global();
     tasks = registry.GetCounter("threadpool.tasks");
-    queue_depth = registry.GetGauge("threadpool.queue_depth");
     task_latency_s = registry.GetHistogram("threadpool.task_latency_s");
   }
 };
+
+// Pause instructions an idle thread spins through before it sleeps: about a
+// third of a millisecond at ~22 ns per pause, longer than the serial gap
+// between two GA generations.
+constexpr int kSpinPauses = 16384;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins, then sleeps, until `word` no longer holds `value`; returns the new
+// value.
+template <typename T>
+T AwaitChange(const std::atomic<T>& word, T value) {
+  for (int i = 0; i < kSpinPauses; ++i) {
+    const T now = word.load(std::memory_order_acquire);
+    if (now != value) {
+      return now;
+    }
+    CpuRelax();
+  }
+  word.wait(value, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
 
 }  // namespace
 
@@ -42,50 +69,64 @@ ThreadPool::ThreadPool(int num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  stopping_.store(true, std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& worker : workers_) {
     worker.join();
   }
 }
 
-void ThreadPool::NoteEnqueued(size_t depth) {
-  if (obs::MetricsRegistry::Global().enabled()) {
-    PoolMetrics::Get().queue_depth->Set(static_cast<double>(depth));
-  }
-}
-
 void ThreadPool::WorkerLoop() {
+  uint32_t seen = 0;
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stopping_ with a drained queue.
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
+    seen = AwaitChange(epoch_, seen);
+    if (stopping_.load(std::memory_order_acquire)) {
+      return;
+    }
+    // A worker that saw an older epoch may take a slot of the current call;
+    // that is fine, since a taken slot is all a helper needs to join it.
+    if (slots_.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
+      continue;
     }
     if (obs::MetricsRegistry::Global().enabled()) {
       const PoolMetrics& metrics = PoolMetrics::Get();
       metrics.tasks->Add();
       TRACE_SCOPE("pool_task");
       const auto start = std::chrono::steady_clock::now();
-      task();  // packaged_task captures exceptions into its future.
+      Drain();
       metrics.task_latency_s->Record(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
     } else {
-      task();  // packaged_task captures exceptions into its future.
+      Drain();
+    }
+    if (busy_.fetch_sub(1, std::memory_order_release) == 1) {
+      busy_.notify_one();
     }
   }
 }
 
-void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t)>& fn) {
+void ThreadPool::Drain() {
+  // One shared claim counter; each thread pulls the next unclaimed index
+  // until the range is exhausted. Dynamic claiming keeps threads busy when
+  // per-index cost is uneven (e.g. GA repair loops).
+  for (;;) {
+    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= end_ || failed_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    try {
+      fn_(i);
+    } catch (...) {
+      if (!failed_.exchange(true, std::memory_order_relaxed)) {
+        error_ = std::current_exception();
+      }
+      return;
+    }
+  }
+}
+
+void ThreadPool::Run(size_t begin, size_t end, FunctionRef<void(size_t)> fn) {
   if (begin >= end) {
     return;
   }
@@ -97,47 +138,23 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
     return;
   }
 
-  // One shared claim counter; each thread (workers + caller) pulls the next
-  // unclaimed index until the range is exhausted. Dynamic claiming keeps
-  // threads busy when per-index cost is uneven (e.g. GA repair loops).
-  auto next = std::make_shared<std::atomic<size_t>>(begin);
-  auto first_error = std::make_shared<std::atomic<bool>>(false);
-  std::mutex error_mutex;
-  std::exception_ptr stored_error;
-
-  const auto drain = [next, first_error, end, &fn, &error_mutex, &stored_error] {
-    for (;;) {
-      const size_t i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= end || first_error->load(std::memory_order_relaxed)) {
-        return;
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        first_error->store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!stored_error) {
-          stored_error = std::current_exception();
-        }
-        return;
-      }
-    }
-  };
-
-  // Never dispatch more helpers than indexes; Submit's futures double as the
-  // completion barrier.
+  // Never recruit more helpers than indexes beyond the caller's first.
   const size_t helpers = std::min(workers_.size(), count - 1);
-  std::vector<std::future<void>> pending;
-  pending.reserve(helpers);
-  for (size_t w = 0; w < helpers; ++w) {
-    pending.push_back(Submit(drain));
+  fn_ = fn;
+  end_ = end;
+  next_.store(begin, std::memory_order_relaxed);
+  failed_.store(false, std::memory_order_relaxed);
+  busy_.store(static_cast<uint32_t>(helpers), std::memory_order_relaxed);
+  slots_.store(static_cast<int>(helpers), std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+
+  Drain();
+  for (uint32_t busy = busy_.load(std::memory_order_acquire); busy != 0;
+       busy = AwaitChange(busy_, busy)) {
   }
-  drain();
-  for (auto& future : pending) {
-    future.get();  // drain() never throws; get() only synchronizes.
-  }
-  if (stored_error) {
-    std::rethrow_exception(stored_error);
+  if (failed_.load(std::memory_order_relaxed)) {
+    std::rethrow_exception(std::exchange(error_, nullptr));
   }
 }
 

@@ -1,14 +1,24 @@
-// Fixed-size worker pool for CPU-bound fan-out (no work stealing).
+// Fixed-size fork-join pool for CPU-bound fan-out (no work stealing).
 //
 // PolluxSched's genetic algorithm evaluates ~population_size independent
 // individuals per generation; ParallelFor() spreads such index ranges over a
 // fixed set of workers (the calling thread participates, so a pool of N
 // workers applies N+1 threads to a loop). Tasks must be independent: the
 // pool makes no ordering guarantees beyond "every index runs exactly once
-// and ParallelFor returns only after all of them finished". Exceptions
-// thrown by tasks are captured and rethrown on the calling thread (Submit()
-// propagates through the returned future, ParallelFor rethrows the first
-// one observed).
+// and ParallelFor returns only after all of them finished". The first
+// exception thrown by a task is rethrown on the calling thread.
+//
+// Workers persist between calls. A call publishes its loop body as a
+// FunctionRef together with the range end, an atomic claim index and a
+// number of helper slots, then bumps a 32-bit epoch; the workers that take a
+// slot and the caller all claim indexes until the range is exhausted, and
+// the caller returns once no helper is still running. An idle thread spins
+// for a fixed number of pause instructions (about a third of a millisecond)
+// before it sleeps in std::atomic::wait, so back-to-back calls such as the
+// GA's generations never pay a kernel wake-up. A call allocates nothing.
+//
+// One thread drives a pool at a time; a loop body must not call
+// ParallelFor on the pool that runs it.
 //
 // Determinism contract: the pool itself introduces no randomness. Callers
 // that need bit-identical results across worker counts must make each index
@@ -18,15 +28,14 @@
 #ifndef POLLUX_UTIL_THREAD_POOL_H_
 #define POLLUX_UTIL_THREAD_POOL_H_
 
-#include <condition_variable>
-#include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <queue>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <thread>
-#include <type_traits>
 #include <vector>
+
+#include "util/function_ref.h"
 
 namespace pollux {
 
@@ -45,41 +54,38 @@ class ThreadPool {
   // Total threads a ParallelFor uses (workers + the calling thread), >= 1.
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  // Enqueues a task; the future rethrows anything the task throws.
+  // Runs fn(i) for every i in [begin, end), spread over the caller and up to
+  // end - begin - 1 workers via an atomic index counter; blocks until the
+  // whole range is done. The first exception thrown by any invocation is
+  // rethrown here (remaining indexes may or may not run once a task has
+  // thrown).
   template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    if (workers_.empty()) {
-      (*task)();  // Inline mode: run on the caller.
-      return result;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.push([task] { (*task)(); });
-      NoteEnqueued(queue_.size());
-    }
-    cv_.notify_one();
-    return result;
+  void ParallelFor(size_t begin, size_t end, F&& fn) {
+    Run(begin, end, FunctionRef<void(size_t)>(fn));
   }
 
-  // Runs fn(i) for every i in [begin, end), spread over all threads via an
-  // atomic index counter; blocks until the whole range is done. The first
-  // exception thrown by any invocation is rethrown here (remaining indexes
-  // may or may not run once a task has thrown).
-  void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn);
-
  private:
+  void Run(size_t begin, size_t end, FunctionRef<void(size_t)> fn);
   void WorkerLoop();
-  // Observability hook (metrics queue-depth gauge); called with mutex_ held.
-  static void NoteEnqueued(size_t depth);
+  // Claims and runs indexes of the current call until none is left.
+  void Drain();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
+
+  // The current call, written by the caller before it bumps epoch_ and read
+  // by the helpers that took a slot.
+  FunctionRef<void(size_t)> fn_;
+  size_t end_ = 0;
+  std::atomic<size_t> next_{0};
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;  // Written once, by whoever set failed_.
+
+  std::atomic<uint32_t> epoch_{0};
+  // Helpers still to join the current call; a worker joins by taking one.
+  std::atomic<int> slots_{0};
+  // Helpers that have not finished the current call yet.
+  std::atomic<uint32_t> busy_{0};
+  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace pollux

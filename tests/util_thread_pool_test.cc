@@ -3,9 +3,43 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+// Counts every heap allocation in this test binary, so a test can assert that
+// a code path makes none. Every replaceable non-aligned form is replaced, so
+// allocation and release always pair through malloc and free.
+namespace {
+std::atomic<long> g_heap_allocations{0};
+
+void* CountedAlloc(size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAllocOrThrow(size_t size) {
+  if (void* p = CountedAlloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(size_t size) { return CountedAllocOrThrow(size); }
+void* operator new[](size_t size) { return CountedAllocOrThrow(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept { return CountedAlloc(size); }
+void* operator new[](size_t size, const std::nothrow_t&) noexcept { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace pollux {
 namespace {
@@ -14,33 +48,17 @@ TEST(ThreadPoolTest, ZeroAndOneThreadRunInline) {
   for (int n : {0, 1}) {
     ThreadPool pool(n);
     EXPECT_EQ(pool.num_threads(), 1) << "requested " << n;
-    int value = 0;
-    pool.Submit([&] { value = 42; }).get();
-    EXPECT_EQ(value, 42);
+    std::vector<std::thread::id> ran_on(3);
+    pool.ParallelFor(0, 3, [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    for (const std::thread::id& id : ran_on) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << "requested " << n;
+    }
   }
 }
 
 TEST(ThreadPoolTest, NegativeThreadsMeansHardwareConcurrency) {
   ThreadPool pool(-1);
   EXPECT_GE(pool.num_threads(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsTaskResult) {
-  ThreadPool pool(4);
-  auto future = pool.Submit([] { return 7 * 6; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(4);
-  auto future = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionsInline) {
-  ThreadPool pool(1);
-  auto future = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
@@ -100,16 +118,11 @@ TEST(ThreadPoolTest, ParallelForCanBeReusedAfterException) {
 
 TEST(ThreadPoolTest, StressTenThousandSmallTasks) {
   ThreadPool pool(4);
-  constexpr int kTasks = 10000;
+  constexpr size_t kTasks = 10000;
   std::atomic<long> sum{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); }));
-  }
-  for (auto& future : futures) {
-    future.get();
-  }
+  pool.ParallelFor(0, kTasks, [&](size_t i) {
+    sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
+  });
   EXPECT_EQ(sum.load(), static_cast<long>(kTasks) * (kTasks - 1) / 2);
 }
 
@@ -122,15 +135,101 @@ TEST(ThreadPoolTest, StressParallelForLargeRange) {
   EXPECT_DOUBLE_EQ(total, 0.5 * static_cast<double>(kCount) * (kCount - 1) / 2.0);
 }
 
+// Back-to-back calls of every width the simulator makes, interleaved. The
+// counters are plain ints: each call's indexes are written by whichever
+// thread claimed them, so only the pool's own fork and join order the
+// writes (ThreadSanitizer checks that they do).
+TEST(ThreadPoolTest, BackToBackCallsRunEveryIndexExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr int kCalls = 10000;
+  const std::vector<size_t> widths = {1, 2, 40, 1000};
+  std::vector<std::vector<int>> runs;
+  for (size_t width : widths) {
+    runs.emplace_back(width, 0);
+  }
+  for (int call = 0; call < kCalls; ++call) {
+    for (size_t w = 0; w < widths.size(); ++w) {
+      std::vector<int>& counts = runs[w];
+      pool.ParallelFor(0, widths[w], [&](size_t i) { ++counts[i]; });
+    }
+  }
+  for (size_t w = 0; w < widths.size(); ++w) {
+    for (size_t i = 0; i < widths[w]; ++i) {
+      ASSERT_EQ(runs[w][i], kCalls) << "width " << widths[w] << ", index " << i;
+    }
+  }
+}
+
 TEST(ThreadPoolTest, DestructionDrainsPendingTasks) {
   std::atomic<int> done{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&done] { done.fetch_add(1); });
-    }
-  }  // ~ThreadPool joins after the queue drains.
+    pool.ParallelFor(0, 64, [&](size_t) { done.fetch_add(1); });
+  }  // ~ThreadPool joins workers that may still be spinning.
   EXPECT_EQ(done.load(), 64);
+}
+
+TEST(ThreadPoolTest, DestructionWhileWorkersSpin) {
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> done{0};
+    {
+      ThreadPool pool(4);
+      pool.ParallelFor(0, 40, [&](size_t) { done.fetch_add(1); });
+    }
+    ASSERT_EQ(done.load(), 40) << "round " << round;
+  }
+  ThreadPool never_used(4);
+}
+
+TEST(ThreadPoolTest, DestructionWhileWorkersSleep) {
+  std::atomic<int> done{0};
+  {
+    ThreadPool pool(4);
+    pool.ParallelFor(0, 40, [&](size_t) { done.fetch_add(1); });
+    // Far longer than the spin: the workers are asleep when the next call
+    // wakes them, and asleep again when the pool is destroyed.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    pool.ParallelFor(0, 40, [&](size_t) { done.fetch_add(1); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(done.load(), 80);
+}
+
+TEST(ThreadPoolTest, TwoPoolsDrivenFromTwoThreads) {
+  constexpr int kCalls = 2000;
+  std::vector<long> sums(2, 0);
+  std::vector<std::thread> drivers;
+  for (size_t d = 0; d < 2; ++d) {
+    drivers.emplace_back([d, &sums] {
+      ThreadPool pool(3);
+      std::vector<long> cells(40, 0);
+      for (int call = 0; call < kCalls; ++call) {
+        pool.ParallelFor(0, cells.size(), [&](size_t i) { cells[i] += static_cast<long>(i); });
+      }
+      sums[d] = std::accumulate(cells.begin(), cells.end(), 0L);
+    });
+  }
+  for (std::thread& driver : drivers) {
+    driver.join();
+  }
+  for (long sum : sums) {
+    EXPECT_EQ(sum, static_cast<long>(kCalls) * 40 * 39 / 2);
+  }
+}
+
+TEST(ThreadPoolTest, WarmedPoolAllocatesNothingPerCall) {
+  ThreadPool pool(4);
+  std::vector<double> out(40, 0.0);
+  const auto body = [&](size_t i) { out[i] += 1.0; };
+  pool.ParallelFor(0, out.size(), body);
+  const long before = g_heap_allocations.load();
+  for (int call = 0; call < 1000; ++call) {
+    pool.ParallelFor(0, out.size(), body);
+    pool.ParallelFor(0, 1, body);
+  }
+  EXPECT_EQ(g_heap_allocations.load() - before, 0);
+  EXPECT_EQ(out[0], 2001.0);
+  EXPECT_EQ(out[39], 1001.0);
 }
 
 }  // namespace
