@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -24,39 +22,12 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
 double Rng::NextDouble() {
   // 53 top bits -> [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) {
-    // Full 64-bit range requested.
-    return static_cast<int64_t>(NextU64());
-  }
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = max() - max() % span;
-  uint64_t draw = NextU64();
-  while (draw >= limit) {
-    draw = NextU64();
-  }
-  return lo + static_cast<int64_t>(draw % span);
-}
 
 double Rng::Normal() {
   if (has_cached_normal_) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,17 @@ class Rng {
   static constexpr result_type max() { return ~uint64_t{0}; }
 
   // Raw 64 random bits.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
   result_type operator()() { return NextU64(); }
 
   // Uniform double in [0, 1).
@@ -39,7 +50,26 @@ class Rng {
   double Uniform(double lo, double hi);
 
   // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
+  //
+  // Rejection sampling avoids modulo bias: a draw is accepted below
+  // limit = max() - max() % span. Since max() % span < span, every draw below
+  // 2^64 - span is accepted, so the division that gives the limit is only
+  // needed for the rare draws at or above that; the draws and the results are
+  // those of computing the limit every time.
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+    uint64_t draw = NextU64();
+    if (span == 0) {
+      return static_cast<int64_t>(draw);  // Full 64-bit range requested.
+    }
+    if (draw >= uint64_t{0} - span) {
+      const uint64_t limit = max() - max() % span;
+      while (draw >= limit) {
+        draw = NextU64();
+      }
+    }
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) + draw % span);
+  }
 
   // Standard normal via Box-Muller (cached second value).
   double Normal();
