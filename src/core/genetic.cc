@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -36,12 +37,14 @@ struct GaMetrics {
 // occupied nodes, and for each node the list of jobs holding a positive cell
 // there, in ascending job order, plus one node-sized list for the cap stage.
 // The repair stages walk these lists instead of rescanning rows and columns,
-// and keep them in step with every cell they change.
+// and keep them in step with every cell they change. The block is the
+// caller's, reused across repairs; Build() clears what it reads.
 class Occupancy {
  public:
-  Occupancy(size_t num_jobs, size_t num_nodes)
-      : num_jobs_(num_jobs), num_nodes_(num_nodes),
-        block_(num_nodes * (num_jobs + 3) + num_jobs) {}
+  Occupancy(size_t num_jobs, size_t num_nodes, std::vector<int>& block)
+      : num_jobs_(num_jobs), num_nodes_(num_nodes), block_(block) {
+    block_.resize(num_nodes * (num_jobs + 3) + num_jobs);
+  }
 
   // One row-major pass over the matrix. Branch-free: every cell writes its
   // job id at its node's list end, and only positive cells advance the end.
@@ -73,7 +76,7 @@ class Occupancy {
  private:
   size_t num_jobs_;
   size_t num_nodes_;
-  std::vector<int> block_;
+  std::vector<int>& block_;
 };
 
 // Uniform reservoir pick over a list of `count` candidates: one
@@ -213,22 +216,23 @@ void GeneticOptimizer::MutateRackAffineWith(AllocationMatrix& matrix, Rng& rng) 
 }
 
 AllocationMatrix GeneticOptimizer::Crossover(const AllocationMatrix& a, const AllocationMatrix& b) {
-  return CrossoverWith(a, b, rng_);
+  AllocationMatrix child;
+  CrossoverWith(a, b, rng_, child);
+  return child;
 }
 
-AllocationMatrix GeneticOptimizer::CrossoverWith(const AllocationMatrix& a,
-                                                 const AllocationMatrix& b, Rng& rng) const {
+void GeneticOptimizer::CrossoverWith(const AllocationMatrix& a, const AllocationMatrix& b,
+                                     Rng& rng, AllocationMatrix& child) const {
   // Row-atomic: each job's full placement comes from one parent, so a
   // rack-compact row survives crossover intact (crossover never needs its own
   // rack-affinity handling).
-  AllocationMatrix child(a.num_jobs(), a.num_nodes());
+  if (child.num_jobs() != a.num_jobs() || child.num_nodes() != a.num_nodes()) {
+    child = AllocationMatrix(a.num_jobs(), a.num_nodes());
+  }
   for (size_t j = 0; j < a.num_jobs(); ++j) {
     const AllocationMatrix& parent = rng.Bernoulli(0.5) ? a : b;
-    for (size_t n = 0; n < a.num_nodes(); ++n) {
-      child.at(j, n) = parent.at(j, n);
-    }
+    std::copy_n(parent.RowData(j), a.num_nodes(), child.RowData(j));
   }
-  return child;
 }
 
 void GeneticOptimizer::Repair(AllocationMatrix& matrix, const std::vector<SchedJobInfo>& jobs) {
@@ -243,7 +247,8 @@ void GeneticOptimizer::RepairWith(AllocationMatrix& matrix, const std::vector<Sc
   // Every stage draws exactly as a whole-row or whole-column reservoir scan
   // would: one UniformInt(1, i) per candidate cell, in ascending index order.
   // The lists only skip the cells such a scan would pass over.
-  Occupancy occupancy(num_jobs, num_nodes);
+  thread_local std::vector<int> block;
+  Occupancy occupancy(num_jobs, num_nodes, block);
 
   // 1. Per-job exploration cap (at most 2x the most GPUs ever held): while a
   // row is over its cap, decrement one of its positive cells, chosen
@@ -441,7 +446,7 @@ void GeneticOptimizer::SeedPopulation(const std::vector<SchedJobInfo>& jobs) {
   }
 }
 
-size_t GeneticOptimizer::TournamentPickWith(const std::vector<double>& fitnesses,
+size_t GeneticOptimizer::TournamentPickWith(std::span<const double> fitnesses,
                                             Rng& rng) const {
   size_t best = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(fitnesses.size()) - 1));
   for (int i = 1; i < options_.tournament_size; ++i) {
@@ -478,13 +483,20 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
     GaMetrics::Get().fitness_evals->Add(population_.size());
   }
 
+  // Offspring i lives in population_[parents + i] and its fitness in
+  // fitnesses[parents + i]. After elitist survival the losers' matrices sit
+  // in those slots, so the next generation's crossover overwrites them in
+  // place instead of allocating. Every generation keeps `parents` survivors.
+  const size_t parents = population_.size();
   const size_t brood = static_cast<size_t>(options_.population_size);
+  population_.resize(parents + brood);
+  fitnesses.resize(parents + brood);
+  std::vector<AllocationMatrix> next(parents + brood);
+  std::vector<double> next_fitnesses(parents + brood);
+  std::vector<size_t> order(parents + brood);
   std::vector<Rng> streams;
   streams.reserve(brood);
-  std::vector<AllocationMatrix> children(brood);
-  std::vector<double> child_fitnesses(brood);
   for (int gen = 0; gen < options_.generations; ++gen) {
-    const size_t parents = population_.size();
     // Fork one stream per offspring from the master generator, in index
     // order, before any parallelism: offspring i's randomness then depends
     // only on (seed, generation, i), never on which worker runs it.
@@ -492,34 +504,28 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
     for (size_t i = 0; i < brood; ++i) {
       streams.push_back(rng_.Fork());
     }
+    const std::span<const double> parent_fitnesses(fitnesses.data(), parents);
     pool_->ParallelFor(0, brood, [&](size_t i) {
       Rng& rng = streams[i];
-      const size_t pa = TournamentPickWith(fitnesses, rng);
-      const size_t pb = TournamentPickWith(fitnesses, rng);
-      AllocationMatrix child = CrossoverWith(population_[pa], population_[pb], rng);
+      const size_t pa = TournamentPickWith(parent_fitnesses, rng);
+      const size_t pb = TournamentPickWith(parent_fitnesses, rng);
+      AllocationMatrix& child = population_[parents + i];
+      CrossoverWith(population_[pa], population_[pb], rng, child);
       MutateWith(child, rng);
       RepairWith(child, jobs, rng);
-      child_fitnesses[i] = scorer.Fitness(child);
-      children[i] = std::move(child);
+      fitnesses[parents + i] = scorer.Fitness(child);
     });
-    for (size_t i = 0; i < brood; ++i) {
-      population_.push_back(std::move(children[i]));
-      fitnesses.push_back(child_fitnesses[i]);
-    }
-    // Elitist survival: keep the best population_size individuals.
-    std::vector<size_t> order(population_.size());
+    // Elitist survival: keep the best `parents` individuals, in fitness
+    // order; the rest follow them as the next brood's slots.
     std::iota(order.begin(), order.end(), size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&](size_t a, size_t b) { return fitnesses[a] > fitnesses[b]; });
-    std::vector<AllocationMatrix> survivors;
-    std::vector<double> survivor_fitnesses;
-    survivors.reserve(parents);
-    for (size_t i = 0; i < std::min(parents, order.size()); ++i) {
-      survivors.push_back(std::move(population_[order[i]]));
-      survivor_fitnesses.push_back(fitnesses[order[i]]);
+    for (size_t k = 0; k < order.size(); ++k) {
+      std::swap(next[k], population_[order[k]]);
+      next_fitnesses[k] = fitnesses[order[k]];
     }
-    population_ = std::move(survivors);
-    fitnesses = std::move(survivor_fitnesses);
+    population_.swap(next);
+    fitnesses.swap(next_fitnesses);
     if (observed) {
       const GaMetrics& metrics = GaMetrics::Get();
       metrics.generations->Add();
@@ -527,6 +533,7 @@ GeneticOptimizer::Result GeneticOptimizer::Optimize(const std::vector<SchedJobIn
       metrics.gen_best_fitness->Record(fitnesses.front());
     }
   }
+  population_.resize(parents);
 
   result.best = population_.front();
   result.fitness = fitnesses.front();

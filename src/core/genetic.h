@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/allocation.h"
@@ -111,14 +112,16 @@ class GeneticOptimizer {
   // Topology-mode repair stage: deterministically moves a rack-spanning
   // job's minority-rack GPUs into free capacity in its primary rack.
   void CompactRacks(AllocationMatrix& matrix) const;
-  AllocationMatrix CrossoverWith(const AllocationMatrix& a, const AllocationMatrix& b,
-                                 Rng& rng) const;
+  // Writes the offspring into `child`, reshaping it only when its shape
+  // differs, so a recycled matrix is overwritten without allocating.
+  void CrossoverWith(const AllocationMatrix& a, const AllocationMatrix& b, Rng& rng,
+                     AllocationMatrix& child) const;
   // Repair walks per-node lists of occupied jobs, but every draw keeps the
   // order and span of a full row or column reservoir scan, so results match
   // the rescanning kernel bit for bit (pinned by GeneticGoldenTest).
   void RepairWith(AllocationMatrix& matrix, const std::vector<SchedJobInfo>& jobs,
                   Rng& rng) const;
-  size_t TournamentPickWith(const std::vector<double>& fitnesses, Rng& rng) const;
+  size_t TournamentPickWith(std::span<const double> fitnesses, Rng& rng) const;
 
   void BuildRackIndex();
 
