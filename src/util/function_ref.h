@@ -1,8 +1,6 @@
 // A non-owning reference to a callable, invoked through one function pointer.
 // It binds to lvalues only, so it cannot hold a temporary lambda that dies
-// before the call; the callable must outlive the reference. Used where a
-// callback runs many times and must not allocate: the L-BFGS-B objective and
-// ThreadPool::ParallelFor's loop body.
+// before the call; the callable must outlive the reference.
 
 #ifndef POLLUX_UTIL_FUNCTION_REF_H_
 #define POLLUX_UTIL_FUNCTION_REF_H_

@@ -49,13 +49,10 @@ class Rng {
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 
-  // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
-  //
-  // Rejection sampling avoids modulo bias: a draw is accepted below
-  // limit = max() - max() % span. Since max() % span < span, every draw below
-  // 2^64 - span is accepted, so the division that gives the limit is only
-  // needed for the rare draws at or above that; the draws and the results are
-  // those of computing the limit every time.
+  // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi. Rejection
+  // sampling avoids modulo bias: draws at or above max() - max() % span are
+  // redrawn. That limit is at least 2^64 - span, so it is only computed for
+  // draws at or above 2^64 - span.
   int64_t UniformInt(int64_t lo, int64_t hi) {
     const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
     uint64_t draw = NextU64();

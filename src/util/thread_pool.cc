@@ -27,29 +27,22 @@ struct PoolMetrics {
   }
 };
 
-// Pause instructions an idle thread spins through before it sleeps: about a
-// third of a millisecond at ~22 ns per pause, longer than the serial gap
-// between two GA generations.
+// An idle thread spins this many pause instructions (about a third of a
+// millisecond at ~22 ns each, longer than the serial gap between two GA
+// generations) before it sleeps.
 constexpr int kSpinPauses = 16384;
-
-void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
 
 // Spins, then sleeps, until `word` no longer holds `value`; returns the new
 // value.
 template <typename T>
 T AwaitChange(const std::atomic<T>& word, T value) {
   for (int i = 0; i < kSpinPauses; ++i) {
-    const T now = word.load(std::memory_order_acquire);
-    if (now != value) {
+    if (const T now = word.load(std::memory_order_acquire); now != value) {
       return now;
     }
-    CpuRelax();
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
   }
   word.wait(value, std::memory_order_acquire);
   return word.load(std::memory_order_acquire);

@@ -6,19 +6,14 @@
 // workers applies N+1 threads to a loop). Tasks must be independent: the
 // pool makes no ordering guarantees beyond "every index runs exactly once
 // and ParallelFor returns only after all of them finished". The first
-// exception thrown by a task is rethrown on the calling thread.
+// exception a task throws is rethrown on the calling thread.
 //
-// Workers persist between calls. A call publishes its loop body as a
-// FunctionRef together with the range end, an atomic claim index and a
-// number of helper slots, then bumps a 32-bit epoch; the workers that take a
-// slot and the caller all claim indexes until the range is exhausted, and
-// the caller returns once no helper is still running. An idle thread spins
-// for a fixed number of pause instructions (about a third of a millisecond)
-// before it sleeps in std::atomic::wait, so back-to-back calls such as the
-// GA's generations never pay a kernel wake-up. A call allocates nothing.
-//
-// One thread drives a pool at a time; a loop body must not call
-// ParallelFor on the pool that runs it.
+// Workers persist between calls. A call publishes its body, bumps an epoch
+// and claims indexes next to the workers that wake for it; idle threads spin
+// about a third of a millisecond before they sleep in std::atomic::wait, so
+// back-to-back calls (the GA's generations) neither allocate nor enter the
+// kernel. One thread drives a pool at a time, and a task must not call
+// ParallelFor on the pool running it.
 //
 // Determinism contract: the pool itself introduces no randomness. Callers
 // that need bit-identical results across worker counts must make each index
@@ -57,8 +52,7 @@ class ThreadPool {
   // Runs fn(i) for every i in [begin, end), spread over the caller and up to
   // end - begin - 1 workers via an atomic index counter; blocks until the
   // whole range is done. The first exception thrown by any invocation is
-  // rethrown here (remaining indexes may or may not run once a task has
-  // thrown).
+  // rethrown here (remaining indexes may or may not run once one threw).
   template <typename F>
   void ParallelFor(size_t begin, size_t end, F&& fn) {
     Run(begin, end, FunctionRef<void(size_t)>(fn));
@@ -70,22 +64,18 @@ class ThreadPool {
   // Claims and runs indexes of the current call until none is left.
   void Drain();
 
-  std::vector<std::thread> workers_;
-
-  // The current call, written by the caller before it bumps epoch_ and read
-  // by the helpers that took a slot.
+  // The current call: written before epoch_ is bumped, read by a worker
+  // only after it takes one of the call's helper slots.
   FunctionRef<void(size_t)> fn_;
   size_t end_ = 0;
   std::atomic<size_t> next_{0};
   std::atomic<bool> failed_{false};
   std::exception_ptr error_;  // Written once, by whoever set failed_.
-
+  std::atomic<int> slots_{0};      // Helper slots not yet taken.
+  std::atomic<uint32_t> busy_{0};  // Helpers not yet finished.
   std::atomic<uint32_t> epoch_{0};
-  // Helpers still to join the current call; a worker joins by taking one.
-  std::atomic<int> slots_{0};
-  // Helpers that have not finished the current call yet.
-  std::atomic<uint32_t> busy_{0};
   std::atomic<bool> stopping_{false};
+  std::vector<std::thread> workers_;  // Last: starts after what it reads.
 };
 
 }  // namespace pollux
