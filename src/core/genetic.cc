@@ -38,7 +38,8 @@ struct GaMetrics {
 // there, in ascending job order, plus one node-sized list for the cap stage.
 // The repair stages walk these lists instead of rescanning rows and columns,
 // and keep them in step with every cell they change. The block is the
-// caller's, reused across repairs; Build() clears what it reads.
+// caller's, reused across repairs: Build() zeroes it, and the cap stage,
+// which runs before the first Build(), writes its row list before reading.
 class Occupancy {
  public:
   Occupancy(size_t num_jobs, size_t num_nodes, std::vector<int>& block)
