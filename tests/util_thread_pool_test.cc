@@ -198,9 +198,9 @@ TEST(ThreadPoolTest, DestructionWhileWorkersSleep) {
 TEST(ThreadPoolTest, TwoPoolsDrivenFromTwoThreads) {
   constexpr int kCalls = 2000;
   std::vector<long> sums(2, 0);
-  std::vector<std::thread> drivers;
+  std::vector<std::thread> callers;
   for (size_t d = 0; d < 2; ++d) {
-    drivers.emplace_back([d, &sums] {
+    callers.emplace_back([d, &sums] {
       ThreadPool pool(3);
       std::vector<long> cells(40, 0);
       for (int call = 0; call < kCalls; ++call) {
@@ -209,8 +209,8 @@ TEST(ThreadPoolTest, TwoPoolsDrivenFromTwoThreads) {
       sums[d] = std::accumulate(cells.begin(), cells.end(), 0L);
     });
   }
-  for (std::thread& driver : drivers) {
-    driver.join();
+  for (std::thread& caller : callers) {
+    caller.join();
   }
   for (long sum : sums) {
     EXPECT_EQ(sum, static_cast<long>(kCalls) * 40 * 39 / 2);
