@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "core/throughput_model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/engine/event_queue.h"
@@ -57,6 +58,7 @@ struct SimMetrics {
   obs::Counter* warm_restores;
   obs::Counter* cold_resets;
   obs::Counter* agents_reset;
+  obs::Histogram* iter_time_log_err;
 
   static const SimMetrics& Get() {
     static const SimMetrics metrics;
@@ -97,6 +99,7 @@ struct SimMetrics {
     warm_restores = registry.GetCounter("sim.recovery.warm_restores");
     cold_resets = registry.GetCounter("sim.recovery.cold_resets");
     agents_reset = registry.GetCounter("sim.recovery.agents_reset");
+    iter_time_log_err = registry.GetHistogram("model.iter_time_log_err");
   }
 };
 
@@ -334,6 +337,17 @@ void Simulator::RefreshReports(double now) {
   for (size_t slot = 0; slot < active_.size(); ++slot) {
     Job* const job = jobs_[active_[slot]].get();
     AgentReport& fresh = fresh_reports_[slot];
+    if (metrics_on && job->placement.num_gpus > 0) {
+      // Model error against the hidden ground truth: how far the fresh
+      // theta_sys puts the placed job's iteration time, in log space.
+      const double predicted = IterTime(fresh.model.params(), job->placement,
+                                        static_cast<double>(job->batch));
+      const double truth = TrueJobIterTime(*job);
+      if (predicted > 0.0 && truth > 0.0) {
+        SimMetrics::Get().iter_time_log_err->Record(
+            std::fabs(std::log(predicted) - std::log(truth)));
+      }
+    }
     // The agent always refreshes locally; the *delivery* to the scheduler
     // can be lost. A dropped report leaves the scheduler holding the
     // previous one, whose age keeps growing.

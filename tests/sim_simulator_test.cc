@@ -4,7 +4,9 @@
 
 #include "baselines/tiresias.h"
 #include "bench/common.h"
+#include "obs/metrics.h"
 #include "sim/pollux_policy.h"
+#include "sim_result_csv.h"
 #include "workload/trace_gen.h"
 
 namespace pollux {
@@ -69,6 +71,49 @@ TEST(SimulatorTest, DeterministicGivenSeed) {
     EXPECT_DOUBLE_EQ(a.jobs[i].finish_time, b.jobs[i].finish_time);
     EXPECT_EQ(a.jobs[i].num_restarts, b.jobs[i].num_restarts);
   }
+}
+
+TEST(SimulatorTest, ModelErrorHistogramRepeatsAtAnyThreadsAndMovesNoBytes) {
+  // model.iter_time_log_err compares each placed job's fresh theta_sys with
+  // the hidden ground truth. It is recorded in the serial phase of a report
+  // refresh, so its sum repeats bit for bit at any width, and turning the
+  // registry on moves no output byte.
+  std::vector<JobSpec> trace;
+  for (uint64_t id = 0; id < 4; ++id) {
+    const ModelKind model =
+        id % 2 == 0 ? ModelKind::kResNet18Cifar10 : ModelKind::kNeuMFMovieLens;
+    trace.push_back(MakeJob(id, model, 120.0 * static_cast<double>(id), 2, 512));
+  }
+  auto run = [&](int threads) {
+    SimOptions options = FastSimOptions(2, 21);
+    options.tick = 10.0;
+    options.sched_threads = threads;
+    PolluxPolicy policy(options.cluster, FastSchedConfig(7));
+    return RenderJobsCsv(Simulator(options, trace, &policy).Run());
+  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Histogram* err = registry.GetHistogram("model.iter_time_log_err");
+  registry.Reset();
+  const std::string plain = run(1);
+  EXPECT_EQ(err->count(), 0u);
+
+  registry.SetEnabled(true);
+  const std::string serial = run(1);
+  const uint64_t count = err->count();
+  const double sum = err->sum();
+  registry.Reset();
+  const std::string parallel = run(4);
+  const uint64_t parallel_count = err->count();
+  const double parallel_sum = err->sum();
+  registry.SetEnabled(false);
+  registry.Reset();
+
+  EXPECT_GT(count, 0u);
+  EXPECT_GT(sum, 0.0);
+  EXPECT_EQ(parallel_count, count);
+  EXPECT_EQ(parallel_sum, sum);
+  EXPECT_EQ(serial, plain);
+  EXPECT_EQ(parallel, plain);
 }
 
 TEST(SimulatorTest, TimelineNeverOvercommitsCluster) {
