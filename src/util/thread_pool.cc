@@ -143,6 +143,12 @@ void ThreadPool::Run(size_t begin, size_t end, FunctionRef<void(size_t)> fn) {
   epoch_.notify_all();
 
   Drain();
+  // Take back the slots no helper has taken: the range is done, so the
+  // caller waits only for helpers that joined, not for a worker still
+  // starting up or descheduled. A late worker then finds no slot.
+  if (const int untaken = slots_.exchange(0, std::memory_order_acq_rel); untaken > 0) {
+    busy_.fetch_sub(static_cast<uint32_t>(untaken), std::memory_order_relaxed);
+  }
   for (uint32_t busy = busy_.load(std::memory_order_acquire); busy != 0;
        busy = AwaitChange(busy_, busy)) {
   }

@@ -12,8 +12,10 @@
 // and claims indexes next to the workers that wake for it; idle threads spin
 // about a third of a millisecond before they sleep in std::atomic::wait, so
 // back-to-back calls (the GA's generations) neither allocate nor enter the
-// kernel. One thread drives a pool at a time, and a task must not call
-// ParallelFor on the pool running it.
+// kernel. Once the caller has drained the range it takes back the helper
+// slots no worker took, so it waits only for helpers that joined. One thread
+// drives a pool at a time, and a task must not call ParallelFor on the pool
+// running it.
 //
 // Determinism contract: the pool itself introduces no randomness. Callers
 // that need bit-identical results across worker counts must make each index

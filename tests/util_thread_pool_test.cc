@@ -181,6 +181,20 @@ TEST(ThreadPoolTest, DestructionWhileWorkersSpin) {
   ThreadPool never_used(4);
 }
 
+// A pool built for one call: its worker may not have started when the call
+// begins, so the caller can finish the range alone and must then not wait for
+// (or race with) a worker that never joined.
+TEST(ThreadPoolTest, FreshPoolPerCallRunsEveryIndexExactlyOnce) {
+  std::vector<int> counts(40, 0);
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    ThreadPool pool(2);
+    pool.ParallelFor(0, counts.size(), [&](size_t i) { ++counts[i]; });
+  }
+  for (size_t i = 0; i < counts.size(); ++i) {
+    ASSERT_EQ(counts[i], 2000) << "index " << i;
+  }
+}
+
 TEST(ThreadPoolTest, DestructionWhileWorkersSleep) {
   std::atomic<int> done{0};
   {
