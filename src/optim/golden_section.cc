@@ -12,8 +12,8 @@ constexpr double kInvPhi2 = 0.3819660112501051;
 
 }  // namespace
 
-GoldenSectionResult GoldenSectionMaximize(const std::function<double(double)>& f, double lo,
-                                          double hi, double tolerance, int max_evaluations) {
+GoldenSectionResult GoldenSectionMaximize(FunctionRef<double(double)> f, double lo, double hi,
+                                          double tolerance, int max_evaluations) {
   GoldenSectionResult result;
   if (hi < lo) {
     std::swap(lo, hi);
@@ -51,7 +51,7 @@ GoldenSectionResult GoldenSectionMaximize(const std::function<double(double)>& f
   return result;
 }
 
-IntSearchResult GoldenSectionMaximizeInt(const std::function<double(long)>& f, long lo, long hi,
+IntSearchResult GoldenSectionMaximizeInt(FunctionRef<double(long)> f, long lo, long hi,
                                          int neighborhood) {
   IntSearchResult result;
   if (hi < lo) {

@@ -6,7 +6,7 @@
 #ifndef POLLUX_OPTIM_GOLDEN_SECTION_H_
 #define POLLUX_OPTIM_GOLDEN_SECTION_H_
 
-#include <functional>
+#include "util/function_ref.h"
 
 namespace pollux {
 
@@ -18,9 +18,16 @@ struct GoldenSectionResult {
 
 // Maximizes `f` on [lo, hi], assumed unimodal. Stops when the bracketing
 // interval shrinks below `tolerance` (absolute, in x).
-GoldenSectionResult GoldenSectionMaximize(const std::function<double(double)>& f, double lo,
-                                          double hi, double tolerance = 1e-4,
-                                          int max_evaluations = 200);
+GoldenSectionResult GoldenSectionMaximize(FunctionRef<double(double)> f, double lo, double hi,
+                                          double tolerance = 1e-4, int max_evaluations = 200);
+
+// Binds any callable, a temporary included, for the duration of the call.
+template <typename F>
+GoldenSectionResult GoldenSectionMaximize(F&& f, double lo, double hi, double tolerance = 1e-4,
+                                          int max_evaluations = 200) {
+  return GoldenSectionMaximize(FunctionRef<double(double)>(f), lo, hi, tolerance,
+                               max_evaluations);
+}
 
 // Integer variant: maximizes f over the integers in [lo, hi]. Runs a
 // continuous golden-section pass and then polishes by scanning the
@@ -33,8 +40,13 @@ struct IntSearchResult {
   int evaluations = 0;
 };
 
-IntSearchResult GoldenSectionMaximizeInt(const std::function<double(long)>& f, long lo, long hi,
+IntSearchResult GoldenSectionMaximizeInt(FunctionRef<double(long)> f, long lo, long hi,
                                          int neighborhood = 2);
+
+template <typename F>
+IntSearchResult GoldenSectionMaximizeInt(F&& f, long lo, long hi, int neighborhood = 2) {
+  return GoldenSectionMaximizeInt(FunctionRef<double(long)>(f), lo, hi, neighborhood);
+}
 
 }  // namespace pollux
 
