@@ -11,7 +11,8 @@
 namespace pollux {
 namespace {
 
-constexpr double kLogEpsilon = 1e-8;
+// [alpha_grad, beta_grad, alpha_loc, beta_loc, alpha_node, beta_node, gamma].
+constexpr size_t kDim = 7;
 
 ThroughputParams UnpackParams(const double* x) {
   ThroughputParams params;
@@ -69,41 +70,26 @@ void SeedGradParams(const std::vector<ThroughputObservation>& observations, doub
   }
 }
 
-// log(iter_time + kLogEpsilon) per observation: the data side of the RMSLE,
-// which a fit takes once instead of once per objective evaluation.
-std::vector<double> LogIterTimes(const std::vector<ThroughputObservation>& observations) {
-  std::vector<double> logs;
-  logs.reserve(observations.size());
+std::vector<FitSample> FitSamples(const std::vector<ThroughputObservation>& observations) {
+  std::vector<FitSample> samples;
+  samples.reserve(observations.size());
   for (const auto& obs : observations) {
-    logs.push_back(std::log(obs.iter_time + kLogEpsilon));
+    const int k = obs.placement.num_gpus;
+    samples.push_back(FitSample{static_cast<double>(obs.batch_size), k,
+                                k <= 1 ? -1 : obs.placement.num_nodes <= 1 ? 0 : 1,
+                                std::log(obs.iter_time + kFitLogEpsilon)});
   }
-  return logs;
-}
-
-// The one RMSLE loop, against precomputed LogIterTimes. ThroughputRmsle and
-// the fitter's objective both run it.
-double RmsleAgainstLogs(const ThroughputParams& params,
-                        const std::vector<ThroughputObservation>& observations,
-                        const std::vector<double>& log_iter_times) {
-  if (observations.empty()) {
-    return 0.0;
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < observations.size(); ++i) {
-    const ThroughputObservation& obs = observations[i];
-    const double predicted =
-        IterTime(params, obs.placement, static_cast<double>(obs.batch_size));
-    const double diff = std::log(predicted + kLogEpsilon) - log_iter_times[i];
-    total += diff * diff;
-  }
-  return std::sqrt(total / static_cast<double>(observations.size()));
+  return samples;
 }
 
 }  // namespace
 
 double ThroughputRmsle(const ThroughputParams& params,
                        const std::vector<ThroughputObservation>& observations) {
-  return RmsleAgainstLogs(params, observations, LogIterTimes(observations));
+  const double x[kDim] = {params.alpha_grad,       params.beta_grad,       params.alpha_sync_local,
+                          params.beta_sync_local,  params.alpha_sync_node, params.beta_sync_node,
+                          params.gamma};
+  return RmsleObjective(FitSamples(observations), kDim, LbfgsbOptions{}.fd_epsilon).Rmsle(x);
 }
 
 namespace {
@@ -124,9 +110,7 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
                   const FitOptions& options) {
   FitResult result;
 
-  // Index layout: [alpha_grad, beta_grad, alpha_loc, beta_loc, alpha_node,
-  // beta_node, gamma].
-  std::vector<double> lower(7, 0.0);
+  std::vector<double> lower(kDim, 0.0);
   std::vector<double> upper = {options.max_alpha, options.max_beta, options.max_alpha,
                                options.max_beta,  options.max_alpha, options.max_beta,
                                10.0};
@@ -147,20 +131,16 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
     upper[3] = upper[5] = 0.0;
   }
 
+  LbfgsbOptions lbfgs_options;
+  lbfgs_options.max_iterations = 80;
+  const RmsleObjective rmsle(FitSamples(observations), kDim, lbfgs_options.fd_epsilon);
+  const auto objective = [&](const double* x) { return rmsle.Value(x); };
+  const auto gradient = [&](const double* x, double* grad) { rmsle.Gradient(x, grad); };
   BoundedProblem problem;
+  problem.objective = objective;
+  problem.gradient = gradient;
   problem.lower = lower;
   problem.upper = upper;
-  // The tiny ridge on the synchronization parameters resolves the
-  // attribution ambiguity when the data cannot distinguish compute from sync
-  // time (e.g. all observations share one GPU count): ties break toward
-  // compute, keeping extrapolations to other GPU counts sane.
-  constexpr double kSyncRidge = 1e-3;
-  const std::vector<double> log_iter_times = LogIterTimes(observations);
-  const auto objective = [&](const double* x) {
-    return RmsleAgainstLogs(UnpackParams(x), observations, log_iter_times) +
-           kSyncRidge * (x[2] + x[3] + x[4] + x[5]);
-  };
-  problem.objective = objective;
 
   double alpha_seed = 0.0;
   double beta_seed = 0.0;
@@ -173,14 +153,12 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
                             std::min(0.01, upper[5]),
                             1.5};
 
-  LbfgsbOptions lbfgs_options;
-  lbfgs_options.max_iterations = 80;
   Rng rng(options.seed);
   const LbfgsbResult fit =
       MinimizeBoundedMultiStart(problem, x0, options.multi_starts, rng, lbfgs_options);
   result.params = UnpackParams(fit.x.data());
   result.rmsle = fit.value;
-  result.evaluations = fit.evaluations;
+  result.evaluations = fit.evaluations + fit.gradient_evaluations;
   return result;
 }
 
@@ -228,8 +206,8 @@ FitResult FitThroughputParamsImpl(const std::vector<ThroughputObservation>& obse
   for (const auto& obs : observations) {
     const double predicted =
         IterTime(result.params, obs.placement, static_cast<double>(obs.batch_size));
-    residuals.push_back(std::log(obs.iter_time + kLogEpsilon) -
-                        std::log(predicted + kLogEpsilon));
+    residuals.push_back(std::log(obs.iter_time + kFitLogEpsilon) -
+                        std::log(predicted + kFitLogEpsilon));
   }
   const double median = MedianOf(residuals);
   std::vector<double> deviations;

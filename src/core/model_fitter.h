@@ -48,6 +48,8 @@ struct FitOptions {
 struct FitResult {
   ThroughputParams params;
   double rmsle = 0.0;
+  // Objective calls plus gradient calls, over every start and both passes:
+  // the fit's cost, not its output.
   int evaluations = 0;
   // Observations discarded by the MAD outlier pass (0 when disabled).
   int outliers_rejected = 0;

@@ -9,7 +9,8 @@
 namespace pollux {
 namespace {
 
-constexpr double kLogEpsilon = 1e-8;
+// [a_grad, b_grad, a_loc, b_loc, a_node, b_node, a_rack, b_rack, gamma].
+constexpr size_t kDim = 9;
 
 RackThroughputParams UnpackRackParams(const double* x) {
   RackThroughputParams params;
@@ -23,6 +24,21 @@ RackThroughputParams UnpackRackParams(const double* x) {
   params.beta_sync_rack = x[7];
   params.gamma = x[8];
   return params;
+}
+
+std::vector<FitSample> RackFitSamples(const std::vector<RackThroughputObservation>& observations) {
+  std::vector<FitSample> samples;
+  samples.reserve(observations.size());
+  for (const auto& obs : observations) {
+    const RackPlacement& placement = obs.placement;
+    const int tier = placement.num_gpus <= 1    ? -1
+                     : placement.num_nodes <= 1 ? 0
+                     : placement.num_racks <= 1 ? 1
+                                                : 2;
+    samples.push_back(FitSample{static_cast<double>(obs.batch_size), placement.num_gpus, tier,
+                                std::log(obs.iter_time + kFitLogEpsilon)});
+  }
+  return samples;
 }
 
 }  // namespace
@@ -51,18 +67,8 @@ double RackSyncTime(const RackThroughputParams& params, const RackPlacement& pla
 
 double RackIterTime(const RackThroughputParams& params, const RackPlacement& placement,
                     double batch_size) {
-  const double grad = RackGradTime(params, placement, batch_size);
-  const double sync = RackSyncTime(params, placement);
-  if (sync <= 0.0) {
-    return grad;
-  }
-  if (grad <= 0.0) {
-    return sync;
-  }
-  const double gamma = params.gamma < 1.0 ? 1.0 : params.gamma;
-  const double hi = grad > sync ? grad : sync;
-  const double lo = grad > sync ? sync : grad;
-  return hi * std::pow(1.0 + std::pow(lo / hi, gamma), 1.0 / gamma);
+  return CombineIterTime(RackGradTime(params, placement, batch_size),
+                         RackSyncTime(params, placement), params.gamma);
 }
 
 double RackModelThroughput(const RackThroughputParams& params, const RackPlacement& placement,
@@ -76,17 +82,10 @@ double RackModelThroughput(const RackThroughputParams& params, const RackPlaceme
 
 double RackThroughputRmsle(const RackThroughputParams& params,
                            const std::vector<RackThroughputObservation>& observations) {
-  if (observations.empty()) {
-    return 0.0;
-  }
-  double total = 0.0;
-  for (const auto& obs : observations) {
-    const double predicted =
-        RackIterTime(params, obs.placement, static_cast<double>(obs.batch_size));
-    const double diff = std::log(predicted + kLogEpsilon) - std::log(obs.iter_time + kLogEpsilon);
-    total += diff * diff;
-  }
-  return std::sqrt(total / static_cast<double>(observations.size()));
+  const double x[kDim] = {params.alpha_grad,      params.beta_grad,       params.alpha_sync_local,
+                          params.beta_sync_local, params.alpha_sync_node, params.beta_sync_node,
+                          params.alpha_sync_rack, params.beta_sync_rack,  params.gamma};
+  return RmsleObjective(RackFitSamples(observations), kDim, LbfgsbOptions{}.fd_epsilon).Rmsle(x);
 }
 
 RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservation>& observations,
@@ -96,8 +95,7 @@ RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservatio
     return result;
   }
 
-  // Layout: [a_grad, b_grad, a_loc, b_loc, a_node, b_node, a_rack, b_rack, gamma].
-  std::vector<double> lower(9, 0.0);
+  std::vector<double> lower(kDim, 0.0);
   std::vector<double> upper = {options.max_alpha, options.max_beta, options.max_alpha,
                                options.max_beta,  options.max_alpha, options.max_beta,
                                options.max_alpha, options.max_beta,  10.0};
@@ -118,28 +116,27 @@ RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservatio
     upper[3] = upper[5] = upper[7] = 0.0;
   }
 
+  LbfgsbOptions lbfgs_options;
+  lbfgs_options.max_iterations = 100;
+  const RmsleObjective rmsle(RackFitSamples(observations), kDim, lbfgs_options.fd_epsilon);
+  const auto objective = [&](const double* x) { return rmsle.Value(x); };
+  const auto gradient = [&](const double* x, double* grad) { rmsle.Gradient(x, grad); };
   BoundedProblem problem;
+  problem.objective = objective;
+  problem.gradient = gradient;
   problem.lower = lower;
   problem.upper = upper;
-  constexpr double kSyncRidge = 1e-3;
-  const auto objective = [&](const double* x) {
-    return RackThroughputRmsle(UnpackRackParams(x), observations) +
-           kSyncRidge * (x[2] + x[3] + x[4] + x[5] + x[6] + x[7]);
-  };
-  problem.objective = objective;
 
   std::vector<double> x0 = {0.01, std::min(1e-4, upper[1]), std::min(0.05, upper[2]),
                             std::min(0.005, upper[3]), std::min(0.1, upper[4]),
                             std::min(0.005, upper[5]), std::min(0.2, upper[6]),
                             std::min(0.01, upper[7]), 1.5};
-  LbfgsbOptions lbfgs_options;
-  lbfgs_options.max_iterations = 100;
   Rng rng(options.seed);
   const LbfgsbResult fit =
       MinimizeBoundedMultiStart(problem, x0, options.multi_starts, rng, lbfgs_options);
   result.params = UnpackRackParams(fit.x.data());
   result.rmsle = fit.value;
-  result.evaluations = fit.evaluations;
+  result.evaluations = fit.evaluations + fit.gradient_evaluations;
   return result;
 }
 

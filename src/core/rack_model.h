@@ -70,7 +70,7 @@ struct RackFitOptions {
 struct RackFitResult {
   RackThroughputParams params;
   double rmsle = 0.0;
-  int evaluations = 0;
+  int evaluations = 0;  // Objective plus gradient calls, as FitResult's.
 };
 
 double RackThroughputRmsle(const RackThroughputParams& params,

@@ -13,6 +13,9 @@
 #ifndef POLLUX_CORE_THROUGHPUT_MODEL_H_
 #define POLLUX_CORE_THROUGHPUT_MODEL_H_
 
+#include <cstddef>
+#include <vector>
+
 #include "core/types.h"
 
 namespace pollux {
@@ -40,6 +43,64 @@ double IterTime(const ThroughputParams& params, const Placement& placement, doub
 // Examples per second (Eqn. 8). Returns 0 for empty placements.
 double ModelThroughput(const ThroughputParams& params, const Placement& placement,
                        double batch_size);
+
+// Eqn. 11 from its two terms: T_iter = (T_grad^gamma + T_sync^gamma)^(1/gamma),
+// with gamma clamped to >= 1. IterTime and the rack model's RackIterTime both
+// combine through it.
+double CombineIterTime(double grad, double sync, double gamma);
+
+// T_iter and its log-slopes in T_grad, T_sync and gamma: the kernel of the
+// theta_sys fits' analytic gradient. With r = lo/hi and u = 1 + r^gamma,
+// d ln T/d hi = 1/(u hi), d ln T/d lo = r^gamma/(u lo) and
+// d ln T/d gamma = -ln(u)/gamma^2 + r^gamma ln(r)/(gamma u).
+//
+// At T_sync = 0 the exact slope in T_sync is 0 for gamma > 1, which would
+// make "no synchronization" a stationary point of every fit. There `d_sync`
+// is instead the forward secant log1p((sync_step/T_grad)^gamma) /
+// (gamma sync_step): the slope a finite-difference probe of size sync_step
+// sees.
+struct IterTimeSlopes {
+  double iter_time = 0.0;
+  double d_grad = 0.0;
+  double d_sync = 0.0;
+  double d_gamma = 0.0;
+};
+IterTimeSlopes IterTimeWithSlopes(double grad, double sync, double gamma, double sync_step);
+
+// One observation as a theta_sys fit sees it.
+struct FitSample {
+  double batch_size = 0.0;
+  int num_gpus = 0;
+  // The sync tier whose (alpha, beta) pair sets T_sync, or -1 when K <= 1.
+  int sync_tier = -1;
+  double log_iter_time = 0.0;  // ln(T_iter + kFitLogEpsilon).
+};
+
+// Offset inside every log of the RMSLE, so a zero time stays finite.
+inline constexpr double kFitLogEpsilon = 1e-8;
+
+// The objective both theta_sys fits minimize, over a point laid out as
+// [alpha_grad, beta_grad, (alpha_sync, beta_sync) per tier..., gamma]: the
+// RMSLE of Eqn. 11 against the samples plus a small ridge on the sync
+// parameters, with its analytic gradient.
+class RmsleObjective {
+ public:
+  // `sync_step` is the secant step of IterTimeWithSlopes at T_sync = 0.
+  RmsleObjective(std::vector<FitSample> samples, size_t dim, double sync_step);
+
+  // The RMSLE alone; 0 without samples.
+  double Rmsle(const double* x) const;
+  // Rmsle plus the sync ridge.
+  double Value(const double* x) const;
+  // The gradient of Value at x into grad[0, dim). Where the RMSLE is 0 only
+  // the ridge remains.
+  void Gradient(const double* x, double* grad) const;
+
+ private:
+  std::vector<FitSample> samples_;
+  size_t dim_;
+  double sync_step_;
+};
 
 }  // namespace pollux
 

@@ -70,6 +70,7 @@ class Evaluator {
       : problem_(problem), n_(n), fd_epsilon_(fd_epsilon) {}
 
   int evaluations() const { return evaluations_; }
+  int gradient_evaluations() const { return gradient_evaluations_; }
 
   double Value(const Point& x) {
     ++evaluations_;
@@ -82,6 +83,7 @@ class Evaluator {
   // pinned with no room on either side gets 0 without a call.
   void Gradient(const Point& x, double fx, Point& grad) {
     if (problem_.gradient) {
+      ++gradient_evaluations_;
       problem_.gradient(x.data(), grad.data());
       return;
     }
@@ -124,6 +126,7 @@ class Evaluator {
   size_t n_;
   double fd_epsilon_;
   int evaluations_ = 0;
+  int gradient_evaluations_ = 0;
 };
 
 size_t CheckedDimension(const BoundedProblem& problem, const std::vector<double>& x0) {
@@ -323,6 +326,7 @@ LbfgsbResult MinimizeFrom(const BoundedProblem& problem, size_t n, const Point& 
   result.x.assign(x.begin(), x.begin() + static_cast<long>(n));
   result.value = f;
   result.evaluations = eval.evaluations();
+  result.gradient_evaluations = eval.gradient_evaluations();
   return result;
 }
 
@@ -339,6 +343,7 @@ LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std:
   const size_t n = CheckedDimension(problem, x0);
   LbfgsbResult best = MinimizeFrom(problem, n, ToPoint(x0), options);
   int evaluations = best.evaluations;
+  int gradient_evaluations = best.gradient_evaluations;
   for (int s = 0; s < extra_starts; ++s) {
     Point start{};
     for (size_t i = 0; i < n; ++i) {
@@ -356,11 +361,13 @@ LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std:
     }
     LbfgsbResult candidate = MinimizeFrom(problem, n, start, options);
     evaluations += candidate.evaluations;
+    gradient_evaluations += candidate.gradient_evaluations;
     if (candidate.value < best.value) {
       best = std::move(candidate);
     }
   }
   best.evaluations = evaluations;
+  best.gradient_evaluations = gradient_evaluations;
   return best;
 }
 

@@ -73,6 +73,8 @@ struct LbfgsbResult {
   int iterations = 0;
   // Objective calls made, finite-difference probes included.
   int evaluations = 0;
+  // Calls of BoundedProblem::gradient (0 without one).
+  int gradient_evaluations = 0;
   bool converged = false;
 };
 
@@ -83,7 +85,8 @@ LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<do
                              const LbfgsbOptions& options = {});
 
 // Runs MinimizeBounded from x0 plus `extra_starts` random interior points and
-// returns the best result, with `evaluations` summed over every start.
+// returns the best result, with `evaluations` and `gradient_evaluations`
+// summed over every start.
 // Deterministic given `rng`.
 LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std::vector<double>& x0,
                                        int extra_starts, Rng& rng,

@@ -1,12 +1,14 @@
 // Golden digests of the θ_sys fits and of the bounded solver under them.
 //
-// Every value below was recorded with the std::vector / std::function
-// L-BFGS-B solver (a std::deque of curvature pairs, one heap-allocated point
-// per trial step and per finite-difference gradient). Each digest folds in the
-// bits of every fitted parameter and objective value, so a change to any
-// floating-point operation's order or operands, any line-search decision or
-// any curvature-pair eviction moves it. FitResult::evaluations lives in a
-// digest of its own: it counts objective calls, not fit output.
+// The fit digests were recorded when the fits began passing the analytic
+// RMSLE gradient (RmsleObjective) to the solver; the solver digests below
+// still hold from the std::vector / std::function L-BFGS-B solver (a
+// std::deque of curvature pairs, one heap-allocated point per trial step and
+// per finite-difference gradient). Each digest folds in the bits of every
+// fitted parameter and objective value, so a change to any floating-point
+// operation's order or operands, any line-search decision or any
+// curvature-pair eviction moves it. FitResult::evaluations lives in a digest
+// of its own: it counts objective and gradient calls, not fit output.
 
 #include <gtest/gtest.h>
 
@@ -206,22 +208,23 @@ const FitDigests& AllFitDigests() {
 }
 
 TEST(FitGoldenTest, HyperShapedFitsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().hyper, "8d70790241584e89");
+  EXPECT_EQ(AllFitDigests().hyper, "635965f7f4628359");
 }
 
 TEST(FitGoldenTest, WideFitsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().wide, "04f5b4e883859bd0");
+  EXPECT_EQ(AllFitDigests().wide, "f58d654e07980b0a");
 }
 
 TEST(FitGoldenTest, RackFitsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().rack, "6c37cf4abb1fd114");
+  EXPECT_EQ(AllFitDigests().rack, "95e91c92b8b4ea1e");
 }
 
-// Re-recorded once, when MinimizeBoundedMultiStart began counting the
-// objective calls of every start rather than the winning start's alone; the
-// fit digests above did not move.
+// Re-recorded when MinimizeBoundedMultiStart began counting the objective
+// calls of every start rather than the winning start's alone (the fit digests
+// above did not move), and again with the analytic gradient, when the count
+// became objective plus gradient calls.
 TEST(FitGoldenTest, EvaluationsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().evaluations, "8e1d1dc2ac5c6bf5");
+  EXPECT_EQ(AllFitDigests().evaluations, "3469ddb5b2f59128");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/rng.h"
@@ -99,8 +100,7 @@ TEST(ThroughputRmsleTest, HoistedKernelIsBitIdentical) {
   }
 }
 
-// One fit pinned to exact bits, recorded with the per-evaluation log kernel,
-// so it also shows that taking log(iter_time) once per fit moved nothing. A
+// One fit pinned to exact bits, recorded with the analytic RMSLE gradient. A
 // change to the kernel or the minimizer that moves fits fails here.
 TEST(ModelFitterTest, PinnedFitIsBitStable) {
   const auto data = MakeObservations(GroundTruth(), 0.05, 3);
@@ -110,14 +110,14 @@ TEST(ModelFitterTest, PinnedFitIsBitStable) {
   options.multi_starts = 2;
   options.seed = 7;
   const FitResult fit = FitThroughputParams(data, options);
-  EXPECT_EQ(fit.params.alpha_grad, 0x1.36351c612c842p-5);
-  EXPECT_EQ(fit.params.beta_grad, 0x1.313f6c14513a9p-12);
-  EXPECT_EQ(fit.params.alpha_sync_local, 0x1.6fd61874d0967p-6);
-  EXPECT_EQ(fit.params.beta_sync_local, 0x1.c101d515adcd9p-12);
-  EXPECT_EQ(fit.params.alpha_sync_node, 0x1.2bbcb0472bb1p-4);
-  EXPECT_EQ(fit.params.beta_sync_node, 0x1.e2f2780513a44p-9);
-  EXPECT_EQ(fit.params.gamma, 0x1.8285bb7c8af34p+0);
-  EXPECT_EQ(fit.rmsle, 0x1.5c1799732c7p-5);
+  EXPECT_EQ(fit.params.alpha_grad, 0x1.362e84d7d69b7p-5);
+  EXPECT_EQ(fit.params.beta_grad, 0x1.314c6bcb71d97p-12);
+  EXPECT_EQ(fit.params.alpha_sync_local, 0x1.70c23bb3f7842p-6);
+  EXPECT_EQ(fit.params.beta_sync_local, 0x1.c10b21fb3f40dp-12);
+  EXPECT_EQ(fit.params.alpha_sync_node, 0x1.2c20eb6aecdefp-4);
+  EXPECT_EQ(fit.params.beta_sync_node, 0x1.e2c730c2e942ep-9);
+  EXPECT_EQ(fit.params.gamma, 0x1.831aeb80b271dp+0);
+  EXPECT_EQ(fit.rmsle, 0x1.5c16edf7b87aep-5);
 }
 
 TEST(ModelFitterTest, RecoversPredictionsFromNoiselessData) {
@@ -231,6 +231,50 @@ TEST(ModelFitterTest, GammaStaysInBounds) {
   EXPECT_LE(fit.params.gamma, 10.0);
   EXPECT_GE(fit.params.alpha_grad, 0.0);
   EXPECT_GE(fit.params.beta_grad, 0.0);
+}
+
+// Fits shaped like a sim-hyper-5k refit (one 1-GPU and 1-9 single-node
+// multi-GPU observations, 2% noise) on data from known parameters whose
+// synchronization time is positive. Returns the mean pure RMSLE (no ridge).
+double MeanHyperShapedFitRmsle() {
+  Rng gen(2028);
+  constexpr int kFits = 200;
+  double total = 0.0;
+  for (int trial = 0; trial < kFits; ++trial) {
+    ThroughputParams truth;
+    truth.alpha_grad = gen.LogNormal(0.03, 0.8);
+    truth.beta_grad = gen.LogNormal(2e-4, 0.8);
+    truth.alpha_sync_local = gen.LogNormal(0.02, 0.8);
+    truth.beta_sync_local = gen.LogNormal(1e-3, 0.8);
+    truth.gamma = gen.Uniform(1.0, 3.0);
+    std::vector<ThroughputObservation> data;
+    int max_gpus = 1;
+    const int count = static_cast<int>(gen.UniformInt(2, 10));
+    for (int i = 0; i < count; ++i) {
+      const int k = i == 0 ? 1 : static_cast<int>(gen.UniformInt(2, 4));
+      max_gpus = std::max(max_gpus, k);
+      ThroughputObservation obs;
+      obs.placement = Placement{k, 1};
+      obs.batch_size = gen.UniformInt(16, 512) * k;
+      obs.iter_time = IterTime(truth, obs.placement, static_cast<double>(obs.batch_size)) *
+                      std::exp(gen.Normal(0.0, 0.02));
+      data.push_back(obs);
+    }
+    FitOptions options;
+    options.max_gpus_seen = max_gpus;
+    options.max_nodes_seen = 1;
+    options.multi_starts = 2;
+    options.seed = 1 + static_cast<uint64_t>(trial);
+    total += ThroughputRmsle(FitThroughputParams(data, options).params, data);
+  }
+  return total / kFits;
+}
+
+TEST(ModelFitterTest, HyperShapedFitsNoWorseThanFiniteDifferences) {
+  // Recorded with the central-difference gradient the fitter used before its
+  // analytic gradient.
+  constexpr double kFiniteDifferenceMean = 0.0104621483;
+  EXPECT_LE(MeanHyperShapedFitRmsle(), kFiniteDifferenceMean);
 }
 
 TEST(ModelFitterTest, EmptyObservationsReturnDefault) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "core/model_fitter.h"
+#include "core/rack_model.h"
+#include "util/rng.h"
 
 namespace pollux {
 namespace {
@@ -108,6 +114,190 @@ TEST(ThroughputModelTest, LargerBatchEnablesBetterScaling) {
 // Property sweep: throughput is nondecreasing in K (fixed batch, single
 // node regime to isolate Amdahl behaviour) for a family of parameter sets
 // with zero retrogression.
+// ---------------------------------------------------------------------------
+// The fits' objective and its analytic gradient.
+
+constexpr double kSyncStep = 1e-6;
+
+// A random point over `tiers` sync tiers: every parameter positive, so
+// T_sync > 0 wherever K >= 2, and gamma in (1, 6]. The spreads put T_grad
+// above T_sync on some samples and below it on others.
+std::vector<double> RandomPoint(Rng& gen, int tiers) {
+  std::vector<double> x = {gen.LogNormal(0.03, 1.0), gen.LogNormal(2e-4, 1.0)};
+  for (int t = 0; t < tiers; ++t) {
+    x.push_back(gen.LogNormal(0.03 * (t + 1), 1.2));
+    x.push_back(gen.LogNormal(2e-3 * (t + 1), 1.2));
+  }
+  x.push_back(1.0 + 5.0 * (1.0 - gen.NextDouble()));
+  return x;
+}
+
+// Draws one placement of 1-16 GPUs over 1-3 nodes (flat) or 1-3 racks.
+struct RandomPlacement {
+  int gpus;
+  int nodes;
+  int racks;
+};
+RandomPlacement DrawPlacement(Rng& gen) {
+  RandomPlacement p;
+  p.gpus = static_cast<int>(gen.UniformInt(1, 16));
+  p.nodes = p.gpus == 1 ? 1 : static_cast<int>(gen.UniformInt(1, std::min(p.gpus, 3)));
+  p.racks = p.nodes == 1 ? 1 : static_cast<int>(gen.UniformInt(1, std::min(p.nodes, 3)));
+  return p;
+}
+
+// Checks the analytic gradient against central differences of Value, in
+// d F / d ln x_i so that every coordinate is on one scale.
+void ExpectGradientMatchesCentralDifferences(const RmsleObjective& objective,
+                                             std::vector<double> x) {
+  std::vector<double> grad(x.size());
+  objective.Gradient(x.data(), grad.data());
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double center = x[i];
+    const double h = 1e-5 * center;
+    x[i] = center + h;
+    const double plus = objective.Value(x.data());
+    x[i] = center - h;
+    const double minus = objective.Value(x.data());
+    x[i] = center;
+    const double numeric = center * (plus - minus) / (2.0 * h);
+    const double analytic = center * grad[i];
+    const double error = std::fabs(analytic - numeric) / (std::fabs(numeric) + 1e-3);
+    EXPECT_LT(error, 1e-6) << "coordinate " << i << ": analytic " << analytic << ", numeric "
+                           << numeric;
+  }
+}
+
+TEST(RmsleObjectiveTest, FlatGradientMatchesCentralDifferences) {
+  Rng gen(11);
+  int grad_above = 0;
+  int sync_above = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::vector<double> x = RandomPoint(gen, 2);
+    ThroughputParams params{x[0], x[1], x[2], x[3], x[4], x[5], x[6]};
+    std::vector<ThroughputObservation> data;
+    std::vector<FitSample> samples;
+    const int count = static_cast<int>(gen.UniformInt(1, 12));
+    for (int i = 0; i < count; ++i) {
+      const RandomPlacement p = DrawPlacement(gen);
+      const Placement placement{p.gpus, p.nodes};
+      const long batch = gen.UniformInt(16, 4096);
+      const double iter_time = gen.LogNormal(0.2, 1.0);
+      data.push_back(ThroughputObservation{placement, batch, iter_time});
+      samples.push_back(FitSample{static_cast<double>(batch), p.gpus,
+                                  p.gpus <= 1 ? -1 : p.nodes <= 1 ? 0 : 1,
+                                  std::log(iter_time + kFitLogEpsilon)});
+      if (p.gpus > 1) {
+        const double grad = GradTime(params, placement, static_cast<double>(batch));
+        (grad > SyncTime(params, placement) ? grad_above : sync_above) += 1;
+      }
+    }
+    const RmsleObjective objective(samples, x.size(), kSyncStep);
+    // The fitter builds these samples for ThroughputRmsle too.
+    ASSERT_EQ(objective.Rmsle(x.data()), ThroughputRmsle(params, data));
+    ExpectGradientMatchesCentralDifferences(objective, x);
+  }
+  EXPECT_GT(grad_above, 100);
+  EXPECT_GT(sync_above, 100);
+}
+
+TEST(RmsleObjectiveTest, RackGradientMatchesCentralDifferences) {
+  Rng gen(12);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::vector<double> x = RandomPoint(gen, 3);
+    RackThroughputParams params{x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7], x[8]};
+    std::vector<RackThroughputObservation> data;
+    std::vector<FitSample> samples;
+    const int count = static_cast<int>(gen.UniformInt(1, 12));
+    for (int i = 0; i < count; ++i) {
+      const RandomPlacement p = DrawPlacement(gen);
+      const long batch = gen.UniformInt(16, 4096);
+      const double iter_time = gen.LogNormal(0.2, 1.0);
+      data.push_back(
+          RackThroughputObservation{RackPlacement{p.gpus, p.nodes, p.racks}, batch, iter_time});
+      const int tier = p.gpus <= 1 ? -1 : p.nodes <= 1 ? 0 : p.racks <= 1 ? 1 : 2;
+      samples.push_back(FitSample{static_cast<double>(batch), p.gpus, tier,
+                                  std::log(iter_time + kFitLogEpsilon)});
+    }
+    const RmsleObjective objective(samples, x.size(), kSyncStep);
+    ASSERT_EQ(objective.Rmsle(x.data()), RackThroughputRmsle(params, data));
+    ExpectGradientMatchesCentralDifferences(objective, x);
+  }
+}
+
+TEST(RmsleObjectiveTest, KernelValueIsCombineIterTimeBitForBit) {
+  Rng gen(13);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double grad = trial % 7 == 0 ? 0.0 : gen.LogNormal(0.05, 2.0);
+    const double sync = trial % 5 == 0 ? 0.0 : gen.LogNormal(0.05, 2.0);
+    const double gamma = gen.Uniform(0.5, 6.0);
+    EXPECT_EQ(IterTimeWithSlopes(grad, sync, gamma, kSyncStep).iter_time,
+              CombineIterTime(grad, sync, gamma));
+  }
+}
+
+// At T_sync = 0 the exact slope in T_sync vanishes for gamma > 1; the kernel
+// returns the forward secant instead, which is what a finite-difference
+// probe of the sync parameters sees from s = 0.
+TEST(RmsleObjectiveTest, SyncSlopeAtZeroIsTheForwardSecant) {
+  for (double gamma : {1.0, 1.5, 2.0, 4.0}) {
+    const double grad = 0.07;
+    const IterTimeSlopes slopes = IterTimeWithSlopes(grad, 0.0, gamma, kSyncStep);
+    EXPECT_EQ(slopes.iter_time, grad);
+    EXPECT_EQ(slopes.d_grad, 1.0 / grad);
+    EXPECT_EQ(slopes.d_gamma, 0.0);
+    EXPECT_EQ(slopes.d_sync,
+              std::log1p(std::pow(kSyncStep / grad, gamma)) / (gamma * kSyncStep));
+    EXPECT_GT(slopes.d_sync, 0.0);
+    // The secant is the log-change of T_iter over one step.
+    EXPECT_NEAR(slopes.d_sync * kSyncStep,
+                std::log(CombineIterTime(grad, kSyncStep, gamma)) - std::log(grad), 1e-15);
+  }
+
+  // In the objective: 4-GPU single-node samples whose sync parameters sit at
+  // 0. The slope in alpha_sync_local is the forward difference of the RMSLE
+  // to first order, plus the ridge; without the secant it would be the ridge
+  // alone, and the fit could not leave s = 0.
+  std::vector<FitSample> samples;
+  for (double batch : {256.0, 512.0, 1024.0}) {
+    samples.push_back(FitSample{batch, 4, 0, std::log(0.2 + kFitLogEpsilon)});
+  }
+  const RmsleObjective objective(samples, 7, kSyncStep);
+  std::vector<double> x = {0.01, 1e-4, 0.0, 0.0, 0.0, 0.0, 2.0};
+  std::vector<double> grad(x.size());
+  objective.Gradient(x.data(), grad.data());
+  const double at_zero = objective.Value(x.data());
+  x[2] = kSyncStep;
+  const double forward = (objective.Value(x.data()) - at_zero) / kSyncStep;
+  EXPECT_NEAR(grad[2], forward, 1e-3 * std::fabs(forward));
+  EXPECT_LT(grad[2], 1e-3);  // The data want more sync time: descent leaves 0.
+  EXPECT_EQ(grad[4], 1e-3);  // No sample in the node tier: the ridge alone.
+}
+
+TEST(RmsleObjectiveTest, GradientAtZeroRmsleIsTheRidgeAlone) {
+  const std::vector<double> x = {0.02, 3e-4, 0.01, 1e-3, 0.05, 4e-3, 1.7};
+  std::vector<FitSample> samples;
+  for (int k : {1, 2, 4, 8}) {
+    for (int nodes : {1, 2}) {
+      if (k == 1 && nodes == 2) {
+        continue;
+      }
+      const int tier = k <= 1 ? -1 : nodes <= 1 ? 0 : 1;
+      FitSample sample{512.0, k, tier, 0.0};
+      const double sync =
+          tier < 0 ? 0.0 : x[2 + 2 * tier] + x[3 + 2 * tier] * (k - 2);
+      sample.log_iter_time =
+          std::log(CombineIterTime(x[0] + x[1] * 512.0 / k, sync, x[6]) + kFitLogEpsilon);
+      samples.push_back(sample);
+    }
+  }
+  const RmsleObjective objective(samples, x.size(), kSyncStep);
+  EXPECT_EQ(objective.Rmsle(x.data()), 0.0);
+  std::vector<double> grad(x.size(), -1.0);
+  objective.Gradient(x.data(), grad.data());
+  EXPECT_EQ(grad, (std::vector<double>{0.0, 0.0, 1e-3, 1e-3, 1e-3, 1e-3, 0.0}));
+}
+
 struct ScalingCase {
   double alpha_grad;
   double beta_grad;

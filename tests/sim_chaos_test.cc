@@ -132,15 +132,16 @@ struct ChaosCase {
 void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.profile << "_seed" << c.seed; }
 
 // Jobs and events CSV digests per case, recorded when a second, fixed-tick
-// engine still agreed with this one. Only an intentional behavior change may
-// move them.
+// engine still agreed with this one; the Pollux cases were re-recorded when
+// the theta_sys fits took the analytic RMSLE gradient. Only an intentional
+// behavior change may move them.
 const std::map<std::string, std::pair<std::string, std::string>>& ChaosDigests() {
   static const std::map<std::string, std::pair<std::string, std::string>> digests = {
-      {"lan_seed1", {"e664f5fdb0477015", "2ab2545790920f39"}},
-      {"flaky_seed1", {"b68265de7543d378", "a7bdf2f8be4c36ac"}},
-      {"flaky_seed2", {"edd7fae9b00a4389", "7e196e58a8c45331"}},
-      {"partitioned_seed1", {"469ada18a6b98ace", "5ed615847749725f"}},
-      {"partitioned_seed3", {"aeabeb5c6c14dfb1", "d9121a10e5a278a8"}},
+      {"lan_seed1", {"3941dfd548d81f8d", "8b3986437cb52936"}},
+      {"flaky_seed1", {"71def2ea32064d92", "78856adabe5fe6dd"}},
+      {"flaky_seed2", {"caf074e47f915d85", "f7ca1b81676a36fc"}},
+      {"partitioned_seed1", {"943c75dd519f9bf5", "efb80dd0239f9420"}},
+      {"partitioned_seed3", {"ecfa7a078a32c1d4", "45fe8688bb2eabed"}},
   };
   return digests;
 }

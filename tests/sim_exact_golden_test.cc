@@ -5,9 +5,10 @@
 //   pollux_simulate --policy=pollux --jobs=20 --duration_hours=1 --seed=1 \
 //       --jobs_csv=exact_mode_jobs.csv --events_csv=exact_mode_events.csv
 //
-// before the ladder landed. This test re-runs the same configuration
-// in-process, renders the per-job results and event log with exactly the
-// formatting pollux_simulate uses, and compares bytes. Any diff means exact
+// before the ladder landed, and regenerated by the same command when the
+// theta_sys fits took the analytic RMSLE gradient. This test re-runs the same
+// configuration in-process, renders the per-job results and event log with
+// exactly the formatting pollux_simulate uses, and compares bytes. Any diff means exact
 // mode stopped reproducing the paper-faithful scheduler — regenerating the
 // goldens is only legitimate for an intentional behavior change.
 
