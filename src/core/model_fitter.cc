@@ -133,6 +133,13 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
 
   LbfgsbOptions lbfgs_options;
   lbfgs_options.max_iterations = 80;
+  // With a few observations many parameter sets fit equally well, and with
+  // an exact gradient a random start can land on one that fits the data no
+  // better but extrapolates badly (e.g. all of T_iter in a constant
+  // alpha_grad, so larger batches look free). A random start therefore
+  // replaces the seeded fit only when it lowers the objective by more than
+  // 1e-4, far below the observations' noise.
+  lbfgs_options.restart_min_improvement = 1e-4;
   const RmsleObjective rmsle(FitSamples(observations), kDim, lbfgs_options.fd_epsilon);
   const auto objective = [&](const double* x) { return rmsle.Value(x); };
   const auto gradient = [&](const double* x, double* grad) { rmsle.Gradient(x, grad); };

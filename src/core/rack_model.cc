@@ -118,6 +118,7 @@ RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservatio
 
   LbfgsbOptions lbfgs_options;
   lbfgs_options.max_iterations = 100;
+  lbfgs_options.restart_min_improvement = 1e-4;  // See model_fitter.cc.
   const RmsleObjective rmsle(RackFitSamples(observations), kDim, lbfgs_options.fd_epsilon);
   const auto objective = [&](const double* x) { return rmsle.Value(x); };
   const auto gradient = [&](const double* x, double* grad) { rmsle.Gradient(x, grad); };

@@ -65,6 +65,9 @@ struct LbfgsbOptions {
   // Armijo sufficient-decrease constant.
   double armijo_c1 = 1e-4;
   int max_line_search_steps = 40;
+  // MinimizeBoundedMultiStart: a random start replaces the best result so
+  // far only when it lowers the objective by more than this.
+  double restart_min_improvement = 0.0;
 };
 
 struct LbfgsbResult {

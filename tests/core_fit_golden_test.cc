@@ -208,15 +208,15 @@ const FitDigests& AllFitDigests() {
 }
 
 TEST(FitGoldenTest, HyperShapedFitsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().hyper, "635965f7f4628359");
+  EXPECT_EQ(AllFitDigests().hyper, "1bf882444aebf953");
 }
 
 TEST(FitGoldenTest, WideFitsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().wide, "f58d654e07980b0a");
+  EXPECT_EQ(AllFitDigests().wide, "722a2cc2817ae982");
 }
 
 TEST(FitGoldenTest, RackFitsMatchRecordedDigest) {
-  EXPECT_EQ(AllFitDigests().rack, "95e91c92b8b4ea1e");
+  EXPECT_EQ(AllFitDigests().rack, "140bc6b9cb6b35ac");
 }
 
 // Re-recorded when MinimizeBoundedMultiStart began counting the objective

@@ -233,6 +233,28 @@ TEST(ModelFitterTest, GammaStaysInBounds) {
   EXPECT_GE(fit.params.beta_grad, 0.0);
 }
 
+// Two observations at one per-GPU batch size (256 on 1 GPU, 128 per GPU on 2)
+// that took the same time. Eqn. 11 fits them exactly in many ways, one of
+// which puts everything into a constant alpha_grad and predicts that a larger
+// batch costs nothing; the agent would then pick the largest batch it may. A
+// random start found that fit, and it must not replace the seeded start's
+// fit, which is as good within 1e-4 and keeps compute per example. The data
+// are a sim-hyper-5k job's second refit (true theta: alpha_grad 0.005,
+// beta_grad 2.5e-5, alpha_sync_local 0.005, gamma 1.5).
+TEST(ModelFitterTest, EqualPerGpuBatchTiesBreakTowardPerExampleCompute) {
+  const std::vector<ThroughputObservation> data = {
+      {Placement{1, 1}, 256, 0.011271044297634317},
+      {Placement{2, 1}, 256, 0.011260405343506951}};
+  FitOptions options;
+  options.max_gpus_seen = 2;
+  options.multi_starts = 2;
+  options.seed = 3;
+  const FitResult fit = FitThroughputParams(data, options);
+  EXPECT_LT(fit.rmsle, 1e-4);
+  // The ground truth takes 0.229 s at this batch size.
+  EXPECT_GT(IterTime(fit.params, Placement{2, 1}, 17885.0), 0.1);
+}
+
 // Fits shaped like a sim-hyper-5k refit (one 1-GPU and 1-9 single-node
 // multi-GPU observations, 2% noise) on data from known parameters whose
 // synchronization time is positive. Returns the mean pure RMSLE (no ridge).

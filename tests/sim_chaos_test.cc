@@ -137,11 +137,11 @@ void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.profile << "_seed"
 // behavior change may move them.
 const std::map<std::string, std::pair<std::string, std::string>>& ChaosDigests() {
   static const std::map<std::string, std::pair<std::string, std::string>> digests = {
-      {"lan_seed1", {"3941dfd548d81f8d", "8b3986437cb52936"}},
-      {"flaky_seed1", {"71def2ea32064d92", "78856adabe5fe6dd"}},
-      {"flaky_seed2", {"caf074e47f915d85", "f7ca1b81676a36fc"}},
-      {"partitioned_seed1", {"943c75dd519f9bf5", "efb80dd0239f9420"}},
-      {"partitioned_seed3", {"ecfa7a078a32c1d4", "45fe8688bb2eabed"}},
+      {"lan_seed1", {"dedae028f46e8e5c", "2eaffe80a1fd9e2f"}},
+      {"flaky_seed1", {"596438b381361df1", "99304339520b1470"}},
+      {"flaky_seed2", {"8207ad89e0cad1cf", "9b79760297367491"}},
+      {"partitioned_seed1", {"a2b5b1d8bf55c2bc", "abd3f75928830315"}},
+      {"partitioned_seed3", {"ccf4546328cd9be6", "ed1d3fcaf466e3e8"}},
   };
   return digests;
 }

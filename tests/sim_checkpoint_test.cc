@@ -461,7 +461,7 @@ std::string WriteEverySectionSnapshot(const std::string& dir) {
 // RMSLE gradient (the snapshotted run's values moved, its layout did not). A
 // change here with no change in decisions means the version 4 layout moved,
 // and snapshots written by older builds no longer resume.
-constexpr char kEverySectionSnapshotDigest[] = "da8db24f1a2e9dbd";
+constexpr char kEverySectionSnapshotDigest[] = "10f890b313be1159";
 
 TEST(SnapshotGoldenTest, EverySectionSnapshotMatchesRecordedDigest) {
   const std::string dir = FreshDir("ckpt_golden");

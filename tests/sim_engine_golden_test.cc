@@ -120,22 +120,22 @@ using Digests = std::pair<std::string, std::string>;
 
 const std::map<std::string, Digests>& SweepDigests() {
   static const std::map<std::string, Digests> digests = {
-      {"pollux_none_seed1", {"c7d7ace5fb2ef641", "7e244d40ebd42a5d"}},
-      {"pollux_none_seed2", {"ca43e6b9c513a077", "b0e62ed3509bc983"}},
-      {"pollux_fixed_batch_none_seed1", {"312e92f5dd99a6f2", "d6aa9afadc31ca40"}},
-      {"pollux_fixed_batch_none_seed2", {"46749243da7a3064", "f7d5d7c058a6a3a7"}},
-      {"optimus_none_seed1", {"ac427fbe6a78456d", "e996e151e7204dbe"}},
-      {"optimus_none_seed2", {"7ba69f1d5236f1dd", "60f088bbc5134b3b"}},
+      {"pollux_none_seed1", {"c6dea7c6b54fbf34", "d8badc9fe288ebef"}},
+      {"pollux_none_seed2", {"957dab2a5c3e8739", "c2bebe367b8389de"}},
+      {"pollux_fixed_batch_none_seed1", {"1136adad61c137a7", "4da921267df61c42"}},
+      {"pollux_fixed_batch_none_seed2", {"20315dcce2b1258f", "42999a501bf95011"}},
+      {"optimus_none_seed1", {"011d53da6f1c51a8", "860552af94b8a4aa"}},
+      {"optimus_none_seed2", {"9a343400587a081e", "634c7118415c9e2c"}},
       {"fifo_none_seed1", {"2012c68f8e3f9908", "d7529cb52deebbab"}},
       {"fifo_none_seed2", {"d0576751af72c887", "f4295317f5b073a8"}},
       {"tiresias_none_seed1", {"2012c68f8e3f9908", "d7529cb52deebbab"}},
       {"tiresias_none_seed2", {"a2eaf83c8e7ff77a", "6a9cfaa3633ee56c"}},
       {"fifo_light_seed1", {"5ecaa0f09d56204b", "d201c69f0565f2fc"}},
       {"tiresias_light_seed2", {"6f9f205a98771c7a", "c3d2a485449891ca"}},
-      {"pollux_light_seed3", {"c43f479165fc7a90", "df424724e39c6fd5"}},
+      {"pollux_light_seed3", {"3a839a8dc1b305fb", "fd0b9d0df28fabeb"}},
       {"fifo_heavy_seed1", {"ec0c623808afa027", "1233c90210734c2c"}},
       {"tiresias_heavy_seed2", {"525c25fdf1e9c76c", "ab3a53ffe7eca245"}},
-      {"pollux_heavy_seed3", {"c83044b70ccec259", "07949e9708a9ad00"}},
+      {"pollux_heavy_seed3", {"511c493ef7625c0c", "78ad8dbe2ec8f9fa"}},
   };
   return digests;
 }
@@ -223,9 +223,9 @@ struct InterferenceCase {
 
 std::vector<InterferenceCase> InterferenceCases() {
   return {
-      {{"pollux", "none", 1}, 0.25, {"c0df7363010a35fd", "b588a73c01ceb412"}},
-      {{"pollux", "none", 2}, 0.5, {"f71c518edeeb46f1", "5ce2106d27ae1310"}},
-      {{"pollux", "light", 3}, 0.5, {"7a4721208a1ac423", "6e89d281f596aead"}},
+      {{"pollux", "none", 1}, 0.25, {"e3cf773904b52dde", "951fa1c10e76e609"}},
+      {{"pollux", "none", 2}, 0.5, {"ab6cebaca6778fe6", "3e8d4fb221d44447"}},
+      {{"pollux", "light", 3}, 0.5, {"059cbf2bf42261b9", "87f002189b232545"}},
       {{"tiresias", "none", 2}, 0.25, {"dcfd9f3b59565582", "927cb9bf3fbbfc4e"}},
       {{"fifo", "none", 2}, 0.5, {"08ff9069dac460b1", "0869043a5212538d"}},
   };
