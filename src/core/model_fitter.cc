@@ -89,7 +89,7 @@ double ThroughputRmsle(const ThroughputParams& params,
   const double x[kDim] = {params.alpha_grad,       params.beta_grad,       params.alpha_sync_local,
                           params.beta_sync_local,  params.alpha_sync_node, params.beta_sync_node,
                           params.gamma};
-  return RmsleObjective(FitSamples(observations), kDim, LbfgsbOptions{}.fd_epsilon).Rmsle(x);
+  return RmsleObjective(FitSamples(observations), kDim).Rmsle(x);
 }
 
 namespace {
@@ -133,14 +133,7 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
 
   LbfgsbOptions lbfgs_options;
   lbfgs_options.max_iterations = 80;
-  // With a few observations many parameter sets fit equally well, and with
-  // an exact gradient a random start can land on one that fits the data no
-  // better but extrapolates badly (e.g. all of T_iter in a constant
-  // alpha_grad, so larger batches look free). A random start therefore
-  // replaces the seeded fit only when it lowers the objective by more than
-  // 1e-4, far below the observations' noise.
-  lbfgs_options.restart_min_improvement = 1e-4;
-  const RmsleObjective rmsle(FitSamples(observations), kDim, lbfgs_options.fd_epsilon);
+  const RmsleObjective rmsle(FitSamples(observations), kDim);
   const auto objective = [&](const double* x) { return rmsle.Value(x); };
   const auto gradient = [&](const double* x, double* grad) { rmsle.Gradient(x, grad); };
   BoundedProblem problem;

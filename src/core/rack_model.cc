@@ -85,7 +85,7 @@ double RackThroughputRmsle(const RackThroughputParams& params,
   const double x[kDim] = {params.alpha_grad,      params.beta_grad,       params.alpha_sync_local,
                           params.beta_sync_local, params.alpha_sync_node, params.beta_sync_node,
                           params.alpha_sync_rack, params.beta_sync_rack,  params.gamma};
-  return RmsleObjective(RackFitSamples(observations), kDim, LbfgsbOptions{}.fd_epsilon).Rmsle(x);
+  return RmsleObjective(RackFitSamples(observations), kDim).Rmsle(x);
 }
 
 RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservation>& observations,
@@ -118,8 +118,7 @@ RackFitResult FitRackThroughputParams(const std::vector<RackThroughputObservatio
 
   LbfgsbOptions lbfgs_options;
   lbfgs_options.max_iterations = 100;
-  lbfgs_options.restart_min_improvement = 1e-4;  // See model_fitter.cc.
-  const RmsleObjective rmsle(RackFitSamples(observations), kDim, lbfgs_options.fd_epsilon);
+  const RmsleObjective rmsle(RackFitSamples(observations), kDim);
   const auto objective = [&](const double* x) { return rmsle.Value(x); };
   const auto gradient = [&](const double* x, double* grad) { rmsle.Gradient(x, grad); };
   BoundedProblem problem;

@@ -57,14 +57,14 @@ double CombineIterTime(double grad, double sync, double gamma) {
   return hi * std::pow(1.0 + std::pow(ratio, gamma), 1.0 / gamma);
 }
 
-IterTimeSlopes IterTimeWithSlopes(double grad, double sync, double gamma, double sync_step) {
+IterTimeSlopes IterTimeWithSlopes(double grad, double sync, double gamma) {
   IterTimeSlopes out;
   const double g = gamma < 1.0 ? 1.0 : gamma;
   if (sync <= 0.0) {
     out.iter_time = grad;
     if (grad > 0.0) {
       out.d_grad = 1.0 / grad;
-      out.d_sync = std::log1p(std::pow(sync_step / grad, g)) / (g * sync_step);
+      out.d_sync = std::log1p(std::pow(kFitSyncStep / grad, g)) / (g * kFitSyncStep);
     }
     return out;
   }
@@ -118,8 +118,8 @@ double SampleSyncTime(const FitSample& sample, const double* x) {
 
 }  // namespace
 
-RmsleObjective::RmsleObjective(std::vector<FitSample> samples, size_t dim, double sync_step)
-    : samples_(std::move(samples)), dim_(dim), sync_step_(sync_step) {}
+RmsleObjective::RmsleObjective(std::vector<FitSample> samples, size_t dim)
+    : samples_(std::move(samples)), dim_(dim) {}
 
 double RmsleObjective::Rmsle(const double* x) const {
   if (samples_.empty()) {
@@ -152,8 +152,8 @@ void RmsleObjective::Gradient(const double* x, double* grad) const {
     const double gamma = x[dim_ - 1];
     double total = 0.0;
     for (const FitSample& sample : samples_) {
-      const IterTimeSlopes slopes = IterTimeWithSlopes(
-          SampleGradTime(sample, x), SampleSyncTime(sample, x), gamma, sync_step_);
+      const IterTimeSlopes slopes =
+          IterTimeWithSlopes(SampleGradTime(sample, x), SampleSyncTime(sample, x), gamma);
       const double diff = std::log(slopes.iter_time + kFitLogEpsilon) - sample.log_iter_time;
       total += diff * diff;
       const double weight = diff * slopes.iter_time / (slopes.iter_time + kFitLogEpsilon);

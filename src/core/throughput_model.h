@@ -56,16 +56,19 @@ double CombineIterTime(double grad, double sync, double gamma);
 //
 // At T_sync = 0 the exact slope in T_sync is 0 for gamma > 1, which would
 // make "no synchronization" a stationary point of every fit. There `d_sync`
-// is instead the forward secant log1p((sync_step/T_grad)^gamma) /
-// (gamma sync_step): the slope a finite-difference probe of size sync_step
-// sees.
+// is instead the forward secant log1p((h/T_grad)^gamma) / (gamma h), with
+// h = kFitSyncStep: the slope a finite-difference probe of size h sees.
 struct IterTimeSlopes {
   double iter_time = 0.0;
   double d_grad = 0.0;
   double d_sync = 0.0;
   double d_gamma = 0.0;
 };
-IterTimeSlopes IterTimeWithSlopes(double grad, double sync, double gamma, double sync_step);
+IterTimeSlopes IterTimeWithSlopes(double grad, double sync, double gamma);
+
+// The secant step at T_sync = 0: LbfgsbOptions::fd_epsilon's default, the
+// step the fits' finite-difference gradient took.
+inline constexpr double kFitSyncStep = 1e-6;
 
 // One observation as a theta_sys fit sees it.
 struct FitSample {
@@ -85,8 +88,7 @@ inline constexpr double kFitLogEpsilon = 1e-8;
 // parameters, with its analytic gradient.
 class RmsleObjective {
  public:
-  // `sync_step` is the secant step of IterTimeWithSlopes at T_sync = 0.
-  RmsleObjective(std::vector<FitSample> samples, size_t dim, double sync_step);
+  RmsleObjective(std::vector<FitSample> samples, size_t dim);
 
   // The RMSLE alone; 0 without samples.
   double Rmsle(const double* x) const;
@@ -99,7 +101,6 @@ class RmsleObjective {
  private:
   std::vector<FitSample> samples_;
   size_t dim_;
-  double sync_step_;
 };
 
 }  // namespace pollux

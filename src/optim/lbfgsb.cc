@@ -362,7 +362,7 @@ LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std:
     LbfgsbResult candidate = MinimizeFrom(problem, n, start, options);
     evaluations += candidate.evaluations;
     gradient_evaluations += candidate.gradient_evaluations;
-    if (candidate.value < best.value - options.restart_min_improvement) {
+    if (candidate.value < best.value - kRestartMinImprovement) {
       best = std::move(candidate);
     }
   }

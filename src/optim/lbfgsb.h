@@ -40,6 +40,14 @@ inline constexpr size_t kMaxDim = 9;
 // evicted first.
 inline constexpr size_t kHistory = 8;
 
+// The θ_sys fits' objective is an RMSLE. With a few observations many
+// parameter sets fit equally well, and a random start can converge onto one
+// that fits no better but extrapolates badly (e.g. all of T_iter in a
+// constant alpha_grad, so larger batches look free). So a random start must
+// beat the seeded start by more than this, far below the observations'
+// noise.
+inline constexpr double kRestartMinImprovement = 1e-4;
+
 struct BoundedProblem {
   // f(x) over x[0, n).
   FunctionRef<double(const double* x)> objective;
@@ -65,9 +73,6 @@ struct LbfgsbOptions {
   // Armijo sufficient-decrease constant.
   double armijo_c1 = 1e-4;
   int max_line_search_steps = 40;
-  // MinimizeBoundedMultiStart: a random start replaces the best result so
-  // far only when it lowers the objective by more than this.
-  double restart_min_improvement = 0.0;
 };
 
 struct LbfgsbResult {
@@ -89,7 +94,8 @@ LbfgsbResult MinimizeBounded(const BoundedProblem& problem, const std::vector<do
 
 // Runs MinimizeBounded from x0 plus `extra_starts` random interior points and
 // returns the best result, with `evaluations` and `gradient_evaluations`
-// summed over every start.
+// summed over every start. A random start replaces the best result so far
+// only when it lowers the objective by more than kRestartMinImprovement.
 // Deterministic given `rng`.
 LbfgsbResult MinimizeBoundedMultiStart(const BoundedProblem& problem, const std::vector<double>& x0,
                                        int extra_starts, Rng& rng,

@@ -117,8 +117,6 @@ TEST(ThroughputModelTest, LargerBatchEnablesBetterScaling) {
 // ---------------------------------------------------------------------------
 // The fits' objective and its analytic gradient.
 
-constexpr double kSyncStep = 1e-6;
-
 // A random point over `tiers` sync tiers: every parameter positive, so
 // T_sync > 0 wherever K >= 2, and gamma in (1, 6]. The spreads put T_grad
 // above T_sync on some samples and below it on others.
@@ -192,7 +190,7 @@ TEST(RmsleObjectiveTest, FlatGradientMatchesCentralDifferences) {
         (grad > SyncTime(params, placement) ? grad_above : sync_above) += 1;
       }
     }
-    const RmsleObjective objective(samples, x.size(), kSyncStep);
+    const RmsleObjective objective(samples, x.size());
     // The fitter builds these samples for ThroughputRmsle too.
     ASSERT_EQ(objective.Rmsle(x.data()), ThroughputRmsle(params, data));
     ExpectGradientMatchesCentralDifferences(objective, x);
@@ -219,7 +217,7 @@ TEST(RmsleObjectiveTest, RackGradientMatchesCentralDifferences) {
       samples.push_back(FitSample{static_cast<double>(batch), p.gpus, tier,
                                   std::log(iter_time + kFitLogEpsilon)});
     }
-    const RmsleObjective objective(samples, x.size(), kSyncStep);
+    const RmsleObjective objective(samples, x.size());
     ASSERT_EQ(objective.Rmsle(x.data()), RackThroughputRmsle(params, data));
     ExpectGradientMatchesCentralDifferences(objective, x);
   }
@@ -231,7 +229,7 @@ TEST(RmsleObjectiveTest, KernelValueIsCombineIterTimeBitForBit) {
     const double grad = trial % 7 == 0 ? 0.0 : gen.LogNormal(0.05, 2.0);
     const double sync = trial % 5 == 0 ? 0.0 : gen.LogNormal(0.05, 2.0);
     const double gamma = gen.Uniform(0.5, 6.0);
-    EXPECT_EQ(IterTimeWithSlopes(grad, sync, gamma, kSyncStep).iter_time,
+    EXPECT_EQ(IterTimeWithSlopes(grad, sync, gamma).iter_time,
               CombineIterTime(grad, sync, gamma));
   }
 }
@@ -242,16 +240,16 @@ TEST(RmsleObjectiveTest, KernelValueIsCombineIterTimeBitForBit) {
 TEST(RmsleObjectiveTest, SyncSlopeAtZeroIsTheForwardSecant) {
   for (double gamma : {1.0, 1.5, 2.0, 4.0}) {
     const double grad = 0.07;
-    const IterTimeSlopes slopes = IterTimeWithSlopes(grad, 0.0, gamma, kSyncStep);
+    const IterTimeSlopes slopes = IterTimeWithSlopes(grad, 0.0, gamma);
     EXPECT_EQ(slopes.iter_time, grad);
     EXPECT_EQ(slopes.d_grad, 1.0 / grad);
     EXPECT_EQ(slopes.d_gamma, 0.0);
     EXPECT_EQ(slopes.d_sync,
-              std::log1p(std::pow(kSyncStep / grad, gamma)) / (gamma * kSyncStep));
+              std::log1p(std::pow(kFitSyncStep / grad, gamma)) / (gamma * kFitSyncStep));
     EXPECT_GT(slopes.d_sync, 0.0);
     // The secant is the log-change of T_iter over one step.
-    EXPECT_NEAR(slopes.d_sync * kSyncStep,
-                std::log(CombineIterTime(grad, kSyncStep, gamma)) - std::log(grad), 1e-15);
+    EXPECT_NEAR(slopes.d_sync * kFitSyncStep,
+                std::log(CombineIterTime(grad, kFitSyncStep, gamma)) - std::log(grad), 1e-15);
   }
 
   // In the objective: 4-GPU single-node samples whose sync parameters sit at
@@ -262,13 +260,13 @@ TEST(RmsleObjectiveTest, SyncSlopeAtZeroIsTheForwardSecant) {
   for (double batch : {256.0, 512.0, 1024.0}) {
     samples.push_back(FitSample{batch, 4, 0, std::log(0.2 + kFitLogEpsilon)});
   }
-  const RmsleObjective objective(samples, 7, kSyncStep);
+  const RmsleObjective objective(samples, 7);
   std::vector<double> x = {0.01, 1e-4, 0.0, 0.0, 0.0, 0.0, 2.0};
   std::vector<double> grad(x.size());
   objective.Gradient(x.data(), grad.data());
   const double at_zero = objective.Value(x.data());
-  x[2] = kSyncStep;
-  const double forward = (objective.Value(x.data()) - at_zero) / kSyncStep;
+  x[2] = kFitSyncStep;
+  const double forward = (objective.Value(x.data()) - at_zero) / kFitSyncStep;
   EXPECT_NEAR(grad[2], forward, 1e-3 * std::fabs(forward));
   EXPECT_LT(grad[2], 1e-3);  // The data want more sync time: descent leaves 0.
   EXPECT_EQ(grad[4], 1e-3);  // No sample in the node tier: the ridge alone.
@@ -291,7 +289,7 @@ TEST(RmsleObjectiveTest, GradientAtZeroRmsleIsTheRidgeAlone) {
       samples.push_back(sample);
     }
   }
-  const RmsleObjective objective(samples, x.size(), kSyncStep);
+  const RmsleObjective objective(samples, x.size());
   EXPECT_EQ(objective.Rmsle(x.data()), 0.0);
   std::vector<double> grad(x.size(), -1.0);
   objective.Gradient(x.data(), grad.data());

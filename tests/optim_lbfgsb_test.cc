@@ -235,28 +235,28 @@ TEST(LbfgsbTest, MultiStartEscapesPoorBasin) {
   EXPECT_GT(multi.x[0], 0.0);
 }
 
-TEST(LbfgsbTest, MultiStartKeepsFirstStartWithinRestartMargin) {
-  // Double-well whose basin near x = +1 is lower by about 8e-5 than the one
-  // near x = -1, where the first start stays. A random start that finds the
-  // lower basin wins only while the margin is below that gap.
-  BoundedProblem problem;
-  problem.lower = {-3.0};
-  problem.upper = {3.0};
-  const auto objective = [](const double* x) {
-    const double w = x[0] * x[0] - 1.0;
-    return w * w + 4e-5 * (1.0 - x[0]);
-  };
-  problem.objective = objective;
-  LbfgsbOptions options;
-  ASSERT_LT(MinimizeBounded(problem, {-1.0}, options).x[0], 0.0);
-  Rng rng(7);
-  EXPECT_GT(MinimizeBoundedMultiStart(problem, {-1.0}, 8, rng, options).x[0], 0.0);
-  options.restart_min_improvement = 1e-4;
-  Rng same(7);
-  EXPECT_LT(MinimizeBoundedMultiStart(problem, {-1.0}, 8, same, options).x[0], 0.0);
-  options.restart_min_improvement = 1e-5;
-  Rng again(7);
-  EXPECT_GT(MinimizeBoundedMultiStart(problem, {-1.0}, 8, again, options).x[0], 0.0);
+TEST(LbfgsbTest, RandomStartMustBeatFirstStartByRestartMargin) {
+  // Double-wells whose basin near x = +1 is lower than the one near x = -1,
+  // where the first start stays, by 2 * tilt. A random start finds the lower
+  // basin; it wins only when the gap exceeds kRestartMinImprovement.
+  for (double tilt : {0.4 * kRestartMinImprovement, 0.8 * kRestartMinImprovement}) {
+    BoundedProblem problem;
+    problem.lower = {-3.0};
+    problem.upper = {3.0};
+    const auto objective = [tilt](const double* x) {
+      const double w = x[0] * x[0] - 1.0;
+      return w * w + tilt * (1.0 - x[0]);
+    };
+    problem.objective = objective;
+    ASSERT_LT(MinimizeBounded(problem, {-1.0}).x[0], 0.0);
+    Rng rng(7);
+    const double x = MinimizeBoundedMultiStart(problem, {-1.0}, 8, rng).x[0];
+    if (2.0 * tilt < kRestartMinImprovement) {
+      EXPECT_LT(x, 0.0) << "tilt " << tilt;
+    } else {
+      EXPECT_GT(x, 0.0) << "tilt " << tilt;
+    }
+  }
 }
 
 TEST(LbfgsbTest, FullyPinnedBoxReturnsImmediately) {

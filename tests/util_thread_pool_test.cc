@@ -233,6 +233,16 @@ TEST(ThreadPoolTest, TwoPoolsDrivenFromTwoThreads) {
 
 TEST(ThreadPoolTest, WarmedPoolAllocatesNothingPerCall) {
   ThreadPool pool(4);
+  // Warm every worker: each index waits until all four threads hold one, so
+  // the caller cannot drain the range alone and every worker joins once
+  // (a worker's first join builds lazily constructed statics).
+  std::atomic<int> arrived{0};
+  pool.ParallelFor(0, pool.num_threads(), [&](size_t) {
+    arrived.fetch_add(1);
+    while (arrived.load() < pool.num_threads()) {
+      std::this_thread::yield();
+    }
+  });
   std::vector<double> out(40, 0.0);
   const auto body = [&](size_t i) { out[i] += 1.0; };
   pool.ParallelFor(0, out.size(), body);
