@@ -111,9 +111,6 @@ TEST(ThroughputModelTest, LargerBatchEnablesBetterScaling) {
   EXPECT_GT(scaling(2048.0), scaling(512.0));
 }
 
-// Property sweep: throughput is nondecreasing in K (fixed batch, single
-// node regime to isolate Amdahl behaviour) for a family of parameter sets
-// with zero retrogression.
 // ---------------------------------------------------------------------------
 // The fits' objective and its analytic gradient.
 
@@ -296,6 +293,9 @@ TEST(RmsleObjectiveTest, GradientAtZeroRmsleIsTheRidgeAlone) {
   EXPECT_EQ(grad, (std::vector<double>{0.0, 0.0, 1e-3, 1e-3, 1e-3, 1e-3, 0.0}));
 }
 
+// Property sweep: throughput is nondecreasing in K (fixed batch, single
+// node regime to isolate Amdahl behaviour) for a family of parameter sets
+// with zero retrogression.
 struct ScalingCase {
   double alpha_grad;
   double beta_grad;
